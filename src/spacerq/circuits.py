@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,25 +17,45 @@ import numpy as np
 from .errors import CircuitFormatError, UnsupportedGateError
 
 _UNITARY_TOL = 1e-12
+_EYE = {2: np.eye(2), 4: np.eye(4)}
+# np.allclose(M^H M, I, atol=_UNITARY_TOL) with its default rtol, written out: |M^H M - I| <= atol + rtol |I|
+_UNITARY_BOUND = {dim: _UNITARY_TOL + 1e-5 * eye for dim, eye in _EYE.items()}
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-
-GATES_1Q: dict[str, np.ndarray] = {"h": _H, "x": _X, "z": _Z}
-GATES_2Q: dict[str, np.ndarray] = {"cz": _CZ, "cnot": _CNOT, "swap": _SWAP}
+# Every matrix that passed the unitarity check, by id; all of them are read-only gate copies.
+_CHECKED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix must be {dim}x{dim}, got {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(dim), atol=_UNITARY_TOL):
+    """A read-only unitary copy of ``matrix``; a matrix this function returned is reused as is."""
+    if _CHECKED.get(id(matrix)) is matrix and matrix.shape == (dim, dim):
+        return matrix
+    owner = np.array(matrix, dtype=complex)
+    if owner.shape != (dim, dim):
+        raise ValueError(f"matrix must be {dim}x{dim}, got {owner.shape}")
+    if not (abs(owner.conj().T @ owner - _EYE[dim]) <= _UNITARY_BOUND[dim]).all():
         raise ValueError("matrix is not unitary")
+    owner.setflags(write=False)
+    m = owner.view()  # a view of a read-only owner cannot be made writeable again
+    _CHECKED[id(m)] = m
     return m
+
+
+GATES_1Q: dict[str, np.ndarray] = {
+    name: _check_unitary(u, 2)
+    for name, u in {
+        "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+        "x": np.array([[0, 1], [1, 0]]),
+        "z": np.diag([1, -1]),
+    }.items()
+}
+GATES_2Q: dict[str, np.ndarray] = {
+    name: _check_unitary(u, 4)
+    for name, u in {
+        "cz": np.diag([1, 1, 1, -1]),
+        "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    }.items()
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +76,7 @@ class Gate1Q:
             isinstance(other, Gate1Q)
             and self.qubit == other.qubit
             and self.name == other.name
-            and np.array_equal(self.matrix, other.matrix)
+            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
         )
 
 
@@ -77,7 +98,7 @@ class Gate2Q:
             isinstance(other, Gate2Q)
             and self.qubit == other.qubit
             and self.name == other.name
-            and np.array_equal(self.matrix, other.matrix)
+            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
         )
 
 
@@ -184,33 +205,48 @@ class PhysicalCircuit:
 # An explicit "matrix" overrides "name".
 
 
-def _matrix_from_entry(entry: dict, dim: int, where: str) -> tuple[np.ndarray, str | None]:
+def _matrix_from_json(raw, dim: int, i: int) -> np.ndarray:
+    if type(raw) is list and len(raw) == dim * dim:
+        try:
+            pairs = np.array(raw)
+        except ValueError:  # ragged nesting; reported below
+            pairs = None
+        # numbers only: np.array would also parse numeric strings, which complex(re, im) rejects
+        if pairs is not None and pairs.shape == (dim * dim, 2) and pairs.dtype.kind in "biuf":
+            return pairs.astype(float).view(complex).reshape(dim, dim)
+    if len(raw) != dim * dim or any(len(pair) != 2 for pair in raw):
+        raise CircuitFormatError(f"gate {i}: matrix must be a flat row-major list of {dim * dim} [re, im] pairs")
+    return np.array([complex(re, im) for re, im in raw]).reshape(dim, dim)
+
+
+def _matrix_from_entry(entry: dict, dim: int, i: int) -> tuple[np.ndarray, str | None]:
     name = entry.get("name")
     raw = entry.get("matrix")
     if raw is not None:
-        if len(raw) != dim * dim or any(len(pair) != 2 for pair in raw):
-            raise CircuitFormatError(
-                f"{where}: matrix must be a flat row-major list of {dim * dim} [re, im] pairs"
-            )
-        flat = np.array([complex(re, im) for re, im in raw]).reshape(dim, dim)
-        return flat, name if isinstance(name, str) else None
+        return _matrix_from_json(raw, dim, i), name if isinstance(name, str) else None
     table = GATES_1Q if dim == 2 else GATES_2Q
     if name is None:
-        raise CircuitFormatError(f"{where}: gate needs a 'name' or a 'matrix'")
+        raise CircuitFormatError(f"gate {i}: gate needs a 'name' or a 'matrix'")
     if name not in table:
-        raise UnsupportedGateError(f"{where}: unknown gate name {name!r}")
+        raise UnsupportedGateError(f"gate {i}: unknown gate name {name!r}")
     return table[name], name
 
 
-def _target_pair(entry: dict, where: str) -> int:
+def _target_pair(entry: dict, i: int) -> int:
+    # exact type checks: a JSON boolean is a Python int but never an index
     t = entry.get("target")
-    if isinstance(t, int):
+    if type(t) is int:
         return t
-    if isinstance(t, list) and len(t) == 2 and all(isinstance(x, int) for x in t):
+    if type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is int:
         if t[1] != t[0] + 1:
-            raise CircuitFormatError(f"{where}: pair target must be adjacent, got {t}")
+            raise CircuitFormatError(f"gate {i}: pair target must be adjacent, got {t}")
         return t[0]
-    raise CircuitFormatError(f"{where}: target must be an int or an adjacent pair [k, k+1]")
+    raise CircuitFormatError(f"gate {i}: target must be an int or an adjacent pair [k, k+1]")
+
+
+def _is_physical(doc) -> bool:
+    gates = doc.get("gates", []) if isinstance(doc, dict) else []
+    return any(isinstance(g, dict) and g.get("op") == "swap" for g in gates)
 
 
 def circuit_from_dict(doc: dict, *, physical: bool = False) -> LogicalCircuit | PhysicalCircuit:
@@ -218,44 +254,46 @@ def circuit_from_dict(doc: dict, *, physical: bool = False) -> LogicalCircuit | 
     if not isinstance(doc, dict) or "qubits" not in doc or "gates" not in doc:
         raise CircuitFormatError("circuit document needs 'qubits' and 'gates' keys")
     n = doc["qubits"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CircuitFormatError("'qubits' must be a positive integer")
     if not isinstance(doc["gates"], list):
         raise CircuitFormatError("'gates' must be a list")
     gates: list[Gate] = []
+    swaps: dict[int, SwapGate] = {}  # one immutable SwapGate per site
     for i, entry in enumerate(doc["gates"]):
-        where = f"gate {i}"
         if not isinstance(entry, dict) or "op" not in entry:
-            raise CircuitFormatError(f"{where}: each gate needs an 'op' key")
+            raise CircuitFormatError(f"gate {i}: each gate needs an 'op' key")
         op = entry["op"]
         try:
-            if op == "1q":
-                target = entry.get("target")
-                if not isinstance(target, int):
-                    raise CircuitFormatError(f"{where}: '1q' target must be an int")
-                matrix, name = _matrix_from_entry(entry, 2, where)
-                gates.append(Gate1Q(target, matrix, name))
-            elif op == "2q":
-                target = _target_pair(entry, where)
-                matrix, name = _matrix_from_entry(entry, 4, where)
-                gates.append(Gate2Q(target, matrix, name))
-            elif op == "swap":
+            if op == "swap":
                 if not physical:
                     raise UnsupportedGateError(
-                        f"{where}: bare swaps are physical-level; not valid in a logical circuit"
+                        f"gate {i}: bare swaps are physical-level; not valid in a logical circuit"
                     )
-                gates.append(SwapGate(_target_pair(entry, where)))
+                site = _target_pair(entry, i)
+                gate = swaps.get(site)
+                if gate is None:
+                    gate = swaps[site] = SwapGate(site)
+            elif op == "1q":
+                target = entry.get("target")
+                if type(target) is not int:
+                    raise CircuitFormatError(f"gate {i}: '1q' target must be an int")
+                gate = Gate1Q(target, *_matrix_from_entry(entry, 2, i))
+            elif op == "2q":
+                target = _target_pair(entry, i)
+                gate = Gate2Q(target, *_matrix_from_entry(entry, 4, i))
             elif op == "wait":
                 steps = entry.get("steps")
-                if not isinstance(steps, int) or steps < 0:
-                    raise CircuitFormatError(f"{where}: 'wait' needs a non-negative integer 'steps'")
-                gates.append(WaitGate(steps))
+                if type(steps) is not int or steps < 0:
+                    raise CircuitFormatError(f"gate {i}: 'wait' needs a non-negative integer 'steps'")
+                gate = WaitGate(steps)
             else:
-                raise CircuitFormatError(f"{where}: unknown op {op!r}")
-        except (ValueError, TypeError) as exc:
+                raise CircuitFormatError(f"gate {i}: unknown op {op!r}")
+        except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: a JSON int beyond float
             if isinstance(exc, (CircuitFormatError, UnsupportedGateError)):
                 raise
-            raise CircuitFormatError(f"{where}: {exc}") from exc
+            raise CircuitFormatError(f"gate {i}: {exc}") from exc
+        gates.append(gate)
     if physical:
         return PhysicalCircuit(n, tuple(gates))
     return LogicalCircuit(n, tuple(gates))
@@ -263,49 +301,101 @@ def circuit_from_dict(doc: dict, *, physical: bool = False) -> LogicalCircuit | 
 
 def circuit_to_dict(circuit: LogicalCircuit | PhysicalCircuit) -> dict:
     """Serialise a circuit; named gates keep their name, others a [re, im] matrix."""
-    gates = []
-    for g in circuit.gates:
-        if isinstance(g, Gate1Q):
-            entry: dict = {"op": "1q", "target": g.qubit}
-            _put_matrix(entry, g)
-        elif isinstance(g, Gate2Q):
-            entry = {"op": "2q", "target": [g.qubit, g.qubit + 1]}
-            _put_matrix(entry, g)
-        elif isinstance(g, SwapGate):
-            entry = {"op": "swap", "target": [g.site, g.site + 1]}
-        else:
-            entry = {"op": "wait", "steps": g.steps}
-        gates.append(entry)
-    n = circuit.n_sites if isinstance(circuit, PhysicalCircuit) else circuit.n_qubits
-    return {"qubits": n, "gates": gates}
+    return {"qubits": _register_size(circuit), "gates": [_gate_entry(g) for g in circuit.gates]}
 
 
-def _put_matrix(entry: dict, gate: Gate1Q | Gate2Q) -> None:
+def _register_size(circuit: LogicalCircuit | PhysicalCircuit) -> int:
+    return circuit.n_sites if isinstance(circuit, PhysicalCircuit) else circuit.n_qubits
+
+
+def _is_named(gate: Gate1Q | Gate2Q) -> bool:
+    """True when the gate is written by its name: the name's table matrix is exactly its matrix."""
     table = GATES_1Q if isinstance(gate, Gate1Q) else GATES_2Q
-    if gate.name is not None and gate.name in table and np.array_equal(table[gate.name], gate.matrix):
-        entry["name"] = gate.name
+    if gate.name is None or gate.name not in table:
+        return False
+    return gate.matrix is table[gate.name] or np.array_equal(table[gate.name], gate.matrix)
+
+
+def _gate_entry(g: Gate) -> dict:
+    if isinstance(g, SwapGate):
+        return {"op": "swap", "target": [g.site, g.site + 1]}
+    if not isinstance(g, (Gate1Q, Gate2Q)):
+        return {"op": "wait", "steps": g.steps}
+    if isinstance(g, Gate1Q):
+        entry: dict = {"op": "1q", "target": g.qubit}
     else:
-        entry["matrix"] = [[z.real, z.imag] for z in gate.matrix.reshape(-1)]
+        entry = {"op": "2q", "target": [g.qubit, g.qubit + 1]}
+    if _is_named(g):
+        entry["name"] = g.name
+    else:
+        entry["matrix"] = [[z.real, z.imag] for z in g.matrix.reshape(-1)]
+    return entry
 
 
-def loads_circuit(text: str, *, physical: bool = False) -> LogicalCircuit | PhysicalCircuit:
-    """Parse a circuit from JSON text, reporting line/column on bad JSON."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+def loads_circuit(text: str, *, physical: bool | None = False) -> LogicalCircuit | PhysicalCircuit:
+    """Parse a circuit from JSON text, reporting line/column on bad JSON.
+
+    ``physical=None`` reads a physical circuit when the document holds bare
+    swaps (see ``document_is_physical``) and a logical one otherwise.
+    """
+    doc = _parse_json(text)
+    if physical is None:
+        physical = _is_physical(doc)
     return circuit_from_dict(doc, physical=physical)
 
 
+# dumps_circuit writes the layout of json.dumps(circuit_to_dict(c), indent=1) without building
+# the dicts: a gate entry is an item of "gates", so its lines sit two spaces further in than in
+# json.dumps(entry, indent=1).  A matrix pair [re, im] is written with float.__repr__, as json writes
+# every finite float; the unitarity check keeps NaN and infinity out of gate matrices.
+_PAIR = "    [\n     %r,\n     %r\n    ]"
+_MATRIX = {dim: "[\n" + ",\n".join([_PAIR] * (dim * dim)) + "\n   ]\n  }" for dim in (2, 4)}
+
+
+def _entry_text(entry: dict) -> str:
+    return "  " + json.dumps(entry, indent=1).replace("\n", "\n  ")
+
+
+def _gate_text(g: Gate, texts: dict) -> str:
+    """The text of one gate entry; all but matrices are formatted once per key in ``texts``.
+
+    Keys carry the type of each value: json writes True as true and 1.0 as 1.0, both equal to 1.
+    """
+    if isinstance(g, SwapGate):
+        key: tuple = (SwapGate, type(g.site), g.site)
+    elif isinstance(g, WaitGate):
+        key = (WaitGate, type(g.steps), g.steps)
+    elif _is_named(g):
+        key = (type(g), type(g.qubit), g.qubit, g.name)
+    else:
+        key = (type(g), type(g.qubit), g.qubit)
+        head = texts.get(key)
+        if head is None:
+            head = texts[key] = _entry_text({**_gate_entry(g), "matrix": None})[: -len("null\n  }")]
+        return head + _MATRIX[len(g.matrix)] % tuple(g.matrix.reshape(-1).view(float).tolist())
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _entry_text(_gate_entry(g))
+    return text
+
+
 def dumps_circuit(circuit: LogicalCircuit | PhysicalCircuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=1)
+    """The circuit as JSON text, byte for byte ``json.dumps(circuit_to_dict(circuit), indent=1)``."""
+    n = _register_size(circuit)
+    if not circuit.gates:
+        return json.dumps({"qubits": n, "gates": []}, indent=1)
+    head, tail = json.dumps({"qubits": n, "gates": [None]}, indent=1).split("  null")
+    texts: dict = {}
+    return head + ",\n".join([_gate_text(g, texts) for g in circuit.gates]) + tail
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CircuitFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
 
 
 def document_is_physical(text: str) -> bool:
     """True when the JSON text uses physical-only ops (bare swaps)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    gates = doc.get("gates", []) if isinstance(doc, dict) else []
-    return any(isinstance(g, dict) and g.get("op") == "swap" for g in gates)
+    return _is_physical(_parse_json(text))

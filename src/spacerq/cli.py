@@ -30,7 +30,7 @@ from .analysis import (
     sandwich_quality,
     sigma_from_quality,
 )
-from .circuits import document_is_physical, dumps_circuit, loads_circuit
+from .circuits import LogicalCircuit, dumps_circuit, loads_circuit
 from .encoder import EncodingParams, check_dual_rail, compile_circuit, dual_rail_encode
 from .errors import CapacityError, CircuitFormatError, UnsupportedGateError
 from .interactions import CouplingLaw, RegisterLayout
@@ -142,10 +142,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("run needs --input (or --benchmark)")
     text = _read_text(args.input)
     m = args.m
-    if document_is_physical(text):
-        circuit = loads_circuit(text, physical=True)
-    else:
-        circuit, _ = compile_circuit(loads_circuit(text), EncodingParams(m))
+    circuit = loads_circuit(text, physical=None)
+    if isinstance(circuit, LogicalCircuit):
+        circuit, _ = compile_circuit(circuit, EncodingParams(m))
     n = circuit.n_sites
     if n % m != 0:
         raise ValueError(f"register of {n} sites is not a multiple of m={m}")

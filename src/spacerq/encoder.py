@@ -75,13 +75,17 @@ def swap_chain(k: int, m: int) -> list[SwapGate]:
     return [SwapGate(s) for s in range(start, k * m)]
 
 
-def compile_two_qubit(gate: Gate2Q, m: int, n_logical: int | None = None) -> list[Gate]:
-    """Expand a logical neighbour gate into chain + gate + inverted chain (2m - 1 gates)."""
-    k = gate.qubit
+def _walk(k: int, m: int, n_logical: int | None) -> tuple[list[SwapGate], list[SwapGate]]:
+    """The swap chain out for the pair (k, k + 1) and the inverted chain back."""
     data_position(k + 1, m, n_logical)  # bounds check for the pair
     chain = swap_chain(k, m)
-    centre = Gate2Q(k * m, gate.matrix, gate.name)
-    return [*chain, centre, *reversed(chain)]
+    return chain, chain[::-1]
+
+
+def compile_two_qubit(gate: Gate2Q, m: int, n_logical: int | None = None) -> list[Gate]:
+    """Expand a logical neighbour gate into chain + gate + inverted chain (2m - 1 gates)."""
+    out, back = _walk(gate.qubit, m, n_logical)
+    return [*out, Gate2Q(gate.qubit * m, gate.matrix, gate.name), *back]
 
 
 def compile_circuit(circuit: LogicalCircuit, params: EncodingParams) -> tuple[PhysicalCircuit, ResourceReport]:
@@ -98,11 +102,16 @@ def compile_circuit(circuit: LogicalCircuit, params: EncodingParams) -> tuple[Ph
     m = params.m
     n = circuit.n_qubits
     gates: list[Gate] = []
+    walks: dict[int, tuple[list[SwapGate], list[SwapGate]]] = {}  # the SwapGates of each pair, built once
     for g in circuit.gates:
         if isinstance(g, Gate1Q):
             gates.append(Gate1Q(data_position(g.qubit, m, n), g.matrix, g.name))
         elif isinstance(g, Gate2Q):
-            gates.extend(compile_two_qubit(g, m, n))
+            k = g.qubit
+            out, back = walks.get(k) or walks.setdefault(k, _walk(k, m, n))
+            gates += out
+            gates.append(Gate2Q(k * m, g.matrix, g.name))
+            gates += back
         elif isinstance(g, WaitGate):
             gates.append(g)
         else:

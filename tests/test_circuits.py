@@ -4,6 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_logical_circuit, random_unitary
 
 from spacerq.circuits import (
     GATES_1Q,
@@ -20,6 +24,7 @@ from spacerq.circuits import (
     dumps_circuit,
     loads_circuit,
 )
+from spacerq.encoder import EncodingParams, compile_circuit
 from spacerq.errors import CircuitFormatError, UnsupportedGateError
 
 BELL_TEXT = json.dumps(
@@ -119,11 +124,47 @@ def test_swap_rejected_in_logical_document():
         {"qubits": 2, "gates": [{"op": "1q", "target": 1, "matrix": [[1, 0]]}]},
         {"qubits": 2, "gates": [{"op": "1q", "target": 1, "matrix": [[1, 0], [0, 0], [0, 0], [2, 0]]}]},
         {"qubits": 2, "gates": "h"},
+        # JSON booleans are Python ints, but never an index or a count
+        {"qubits": True, "gates": []},
+        {"qubits": 2, "gates": [{"op": "1q", "target": True, "name": "h"}]},
+        {"qubits": 2, "gates": [{"op": "2q", "target": True, "name": "cz"}]},
+        {"qubits": 2, "gates": [{"op": "2q", "target": [True, 2], "name": "cz"}]},
+        {"qubits": 2, "gates": [{"op": "wait", "steps": True}]},
+        {"qubits": 2, "gates": [{"op": "wait", "steps": False}]},
     ],
 )
 def test_malformed_documents_raise_format_errors(doc):
     with pytest.raises(CircuitFormatError):
         circuit_from_dict(doc)
+
+
+def test_swap_targets_reject_booleans():
+    doc = {"qubits": 2, "gates": [{"op": "swap", "target": [True, 2]}]}
+    with pytest.raises(CircuitFormatError, match="gate 0: target must be"):
+        circuit_from_dict(doc, physical=True)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([["1", "0"], [0, 0], [0, 0], [1, 0]], "gate 0: complex"),  # strings are not numbers
+        ([[1, 0], [0, 0], [0, 0], [[1], 0]], "gate 0: complex"),
+        ([[1, 0], [0, 0], [0, 0], [1, 0, 0]], "gate 0: matrix must be a flat row-major list of 4"),
+        ([[1, 0], [0, 0], [0, 0], [None, 0]], "gate 0: complex"),
+        ([[1, 0], [0, 0], [0, 0]], "gate 0: matrix must be a flat row-major list of 4"),
+        ([[1, 0], [0, 0], [0, 0], [0.5, 0]], "gate 0: matrix is not unitary"),
+        ([[1, 0], [0, 0], [0, 0], [10**400, 0]], "gate 0: int too large"),
+    ],
+)
+def test_matrix_entries_must_be_number_pairs(matrix, message):
+    doc = {"qubits": 1, "gates": [{"op": "1q", "target": 1, "matrix": matrix}]}
+    with pytest.raises(CircuitFormatError, match=message):
+        circuit_from_dict(doc)
+
+
+def test_matrix_entries_accept_ints_floats_and_booleans():
+    doc = {"qubits": 1, "gates": [{"op": "1q", "target": 1, "matrix": [[0, 0], [True, False], [1.0, 0], [0, -0.0]]}]}
+    assert np.array_equal(circuit_from_dict(doc).gates[0].matrix, GATES_1Q["x"])
 
 
 def test_unknown_gate_name_is_unsupported_not_malformed():
@@ -164,3 +205,184 @@ def test_wait_zero_round_trips():
     c = loads_circuit(json.dumps({"qubits": 1, "gates": [{"op": "wait", "steps": 0}]}))
     assert c.gates[0] == WaitGate(0)
     assert c.step_count == 0
+
+
+# --- unitarity: checked once, kept read-only ---------------------------------
+
+
+def _allclose_accepts(m: np.ndarray) -> bool:
+    return np.allclose(m.conj().T @ m, np.eye(len(m)), atol=1e-12)
+
+
+def _constructor_accepts(m: np.ndarray) -> bool:
+    gate = Gate1Q if len(m) == 2 else Gate2Q
+    try:
+        gate(1, m)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_unitarity_check_accepts_what_allclose_accepts(dim):
+    # additive noise moves every entry of M^H M (the 1e-12 atol decides); scaling by 1 + eps
+    # moves only the diagonal (the 1e-5 rtol of np.allclose decides): both boundaries are crossed
+    rng = np.random.default_rng(dim)
+    accepted = rejected = 0
+    for eps in np.logspace(-16, -4, 121):
+        u = random_unitary(rng, dim)
+        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for m in (u + eps * noise, u * (1 + eps), u * (1 + 5 * eps * rng.uniform(0.5, 1.5))):
+            expected = _allclose_accepts(m)
+            assert _constructor_accepts(m) == expected, (eps, m)
+            accepted += expected
+            rejected += not expected
+    assert accepted > 100 and rejected > 100
+
+
+def test_gate_matrix_is_a_read_only_copy():
+    caller = np.array([[0, 1], [1, 0]], dtype=complex)
+    g = Gate1Q(1, caller)
+    assert caller.flags.writeable
+    caller[0, 0] = 5  # the caller's array stays theirs
+    assert g.matrix[0, 0] == 0
+    with pytest.raises(ValueError):
+        g.matrix[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.matrix.setflags(write=True)
+    with pytest.raises(ValueError):
+        GATES_2Q["cnot"][0, 0] = 0
+
+
+def test_checked_matrices_are_shared_not_copied():
+    g = Gate2Q(1, random_unitary(np.random.default_rng(0), 4))
+    assert Gate2Q(3, g.matrix).matrix is g.matrix
+    assert Gate1Q(2, GATES_1Q["h"], "h").matrix is GATES_1Q["h"]
+    logical = LogicalCircuit(2, (Gate1Q(2, GATES_1Q["x"], "x"), g))
+    physical, _ = compile_circuit(logical, EncodingParams(3))
+    assert physical.gates[0].matrix is GATES_1Q["x"]
+    assert physical.gates[3].matrix is g.matrix
+    with pytest.raises(ValueError, match="2x2"):
+        Gate1Q(1, g.matrix)  # a checked 4x4 is still no one-qubit gate
+
+
+def test_non_unitary_is_rejected_on_every_entry_path():
+    bad = np.array([[1, 0], [0, 1.001]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate1Q(1, bad)
+    doc = {"qubits": 1, "gates": [{"op": "1q", "target": 1, "matrix": [[1, 0], [0, 0], [0, 0], [1.001, 0]]}]}
+    with pytest.raises(CircuitFormatError, match="gate 0: matrix is not unitary"):
+        circuit_from_dict(doc)
+    # a gate whose matrix was swapped behind the constructor's back is checked again when compiled
+    for gate, matrix in ((Gate1Q(1, GATES_1Q["h"]), bad), (Gate2Q(1, GATES_2Q["cz"]), np.kron(bad, bad))):
+        object.__setattr__(gate, "matrix", matrix)
+        with pytest.raises(ValueError, match="not unitary"):
+            compile_circuit(LogicalCircuit(2, (gate,)), EncodingParams(2))
+
+
+# --- dumps_circuit writes exactly what json.dumps(circuit_to_dict(c), indent=1) writes ---
+
+
+def _assert_dumps_matches_oracle(circuit):
+    doc = circuit_to_dict(circuit)
+    text = dumps_circuit(circuit)
+    assert text == json.dumps(doc, indent=1)
+    # a name that does not match its table matrix is not written, so it does not come back
+    written = tuple(
+        type(g)(g.qubit, g.matrix, entry.get("name")) if isinstance(g, (Gate1Q, Gate2Q)) else g
+        for g, entry in zip(circuit.gates, doc["gates"])
+    )
+    assert loads_circuit(text, physical=isinstance(circuit, PhysicalCircuit)) == type(circuit)(doc["qubits"], written)
+
+
+def test_dumps_golden_layout():
+    c = PhysicalCircuit(
+        2,
+        (
+            Gate1Q(1, GATES_1Q["h"], "h"),
+            Gate1Q(2, np.diag([1, -1j]), "fake"),
+            SwapGate(1),
+            Gate2Q(1, GATES_2Q["cz"], "cz"),
+            WaitGate(0),
+        ),
+    )
+    pair = "    [\n     {},\n     {}\n    ]"
+    golden = (
+        '{\n "qubits": 2,\n "gates": [\n'
+        '  {\n   "op": "1q",\n   "target": 1,\n   "name": "h"\n  },\n'
+        '  {\n   "op": "1q",\n   "target": 2,\n   "matrix": [\n'
+        + ",\n".join([pair.format("1.0", "0.0"), pair.format("0.0", "0.0"), pair.format("0.0", "0.0"),
+                      pair.format("-0.0", "-1.0")])
+        + "\n   ]\n  },\n"
+        '  {\n   "op": "swap",\n   "target": [\n    1,\n    2\n   ]\n  },\n'
+        '  {\n   "op": "2q",\n   "target": [\n    1,\n    2\n   ],\n   "name": "cz"\n  },\n'
+        '  {\n   "op": "wait",\n   "steps": 0\n  }\n'
+        " ]\n}"
+    )
+    assert dumps_circuit(c) == golden
+    _assert_dumps_matches_oracle(c)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        LogicalCircuit(3),
+        PhysicalCircuit(1),
+        LogicalCircuit(1, (WaitGate(0),)),
+        LogicalCircuit(
+            2, (Gate1Q(1, GATES_1Q["x"], "h"), Gate2Q(1, GATES_2Q["cz"], "cnot"), Gate1Q(2, GATES_1Q["z"], "unknown"))
+        ),
+        LogicalCircuit(2, (Gate2Q(1, GATES_2Q["swap"], "swap"), Gate2Q(1, GATES_2Q["swap"]))),
+        LogicalCircuit(1, (Gate1Q(1, np.array([[1, 1e-300], [-1e-300, 1]])),)),
+        LogicalCircuit(1, (Gate1Q(1, np.array([[1, 5e-324], [-5e-324, -1]])),)),
+        LogicalCircuit(1, (Gate1Q(1, np.array([[-0.0, 1], [1, -0.0]]) * (1 - 0j)),)),
+        LogicalCircuit(1, (Gate1Q(1, np.array([[complex(-0.0, -0.0), 1], [1, complex(0.0, -0.0)]])),)),
+        PhysicalCircuit(3, (SwapGate(2), SwapGate(1), WaitGate(7), SwapGate(2), Gate2Q(2, GATES_2Q["cnot"], "cnot"))),
+    ],
+)
+def test_dumps_matches_json_module_on_edge_cases(circuit):
+    _assert_dumps_matches_oracle(circuit)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dumps_matches_json_module_on_random_and_compiled_circuits(seed):
+    rng = np.random.default_rng(seed)
+    logical = random_logical_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(0, 25)))
+    _assert_dumps_matches_oracle(logical)
+    for m in range(1, 5):
+        _assert_dumps_matches_oracle(compile_circuit(logical, EncodingParams(m))[0])
+
+
+_angles = st.floats(min_value=-7.0, max_value=7.0, allow_subnormal=True)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 5))
+    physical = draw(st.booleans())
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["1q", "2q", "swap", "wait"] if physical else ["1q", "2q", "wait"]))
+        if kind == "wait":
+            gates.append(WaitGate(draw(st.integers(0, 10**12))))
+        elif kind == "1q" or n == 1:
+            t, p, q = draw(_angles), draw(_angles), draw(_angles)
+            u = np.array(
+                [[np.cos(t), -np.exp(1j * q) * np.sin(t)], [np.exp(1j * p) * np.sin(t), np.exp(1j * (p + q)) * np.cos(t)]]
+            )
+            matrix, name = draw(st.sampled_from([(u, None), (GATES_1Q["h"], "h"), (GATES_1Q["z"], "x"), (u, "h")]))
+            gates.append(Gate1Q(draw(st.integers(1, n)), matrix, name))
+        elif kind == "2q":
+            phases = np.exp(1j * np.array([draw(_angles) for _ in range(4)]))
+            choices = [(np.diag(phases), None), (GATES_2Q["cnot"], "cnot"), (GATES_2Q["cz"], "swap")]
+            matrix, name = draw(st.sampled_from(choices))
+            gates.append(Gate2Q(draw(st.integers(1, n - 1)), matrix, name))
+        else:
+            gates.append(SwapGate(draw(st.integers(1, n - 1))))
+    return PhysicalCircuit(n, tuple(gates)) if physical else LogicalCircuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits())
+def test_dumps_matches_json_module_on_generated_circuits(circuit):
+    _assert_dumps_matches_oracle(circuit)

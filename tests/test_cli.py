@@ -53,6 +53,38 @@ def test_malformed_json_exits_2_with_location(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compile", "run"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"qubits": True, "gates": []},
+        {"qubits": 2, "gates": [{"op": "1q", "target": True, "name": "h"}]},
+        {"qubits": 2, "gates": [{"op": "2q", "target": [True, 2], "name": "cz"}]},
+        {"qubits": 2, "gates": [{"op": "wait", "steps": True}]},
+    ],
+)
+def test_json_booleans_are_not_integers_exit_2(doc, command, tmp_path, capsys):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, "--input", str(p), "--m", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_parses_its_input_once(tmp_path, monkeypatch, capsys):
+    phys = tmp_path / "phys.json"
+    p = tmp_path / "bell.json"
+    p.write_text(json.dumps(BELL))
+    main(["compile", "--input", str(p), "--m", "2", "--output", str(phys)])
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    for path in (p, phys):
+        calls.clear()
+        assert main(["run", "--input", str(path), "--m", "2", "--solutions", "00,11"]) == 0
+        assert "Q = 1.000000" in capsys.readouterr().out
+        assert len(calls) == 1
+
+
 def test_capacity_exits_4(tmp_path, capsys):
     p = tmp_path / "big.json"
     p.write_text(json.dumps({"qubits": 30, "gates": []}))
