@@ -34,8 +34,7 @@ def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"matrix must be {dim}x{dim}, got {owner.shape}")
     if not (abs(owner.conj().T @ owner - _EYE[dim]) <= _UNITARY_BOUND[dim]).all():
         raise ValueError("matrix is not unitary")
-    owner.setflags(write=False)
-    m = owner.view()  # a view of a read-only owner cannot be made writeable again
+    m = np.frombuffer(owner.tobytes(), complex).reshape(dim, dim)  # backed by bytes: never writeable
     _CHECKED[id(m)] = m
     return m
 

@@ -14,6 +14,7 @@ chain does not undo the cyclic shift and would strand the data qubit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,10 +76,11 @@ def swap_chain(k: int, m: int) -> list[SwapGate]:
     return [SwapGate(s) for s in range(start, k * m)]
 
 
-def _walk(k: int, m: int, n_logical: int | None) -> tuple[list[SwapGate], list[SwapGate]]:
-    """The swap chain out for the pair (k, k + 1) and the inverted chain back."""
+@functools.lru_cache(maxsize=1024, typed=True)
+def _walk(k: int, m: int, n_logical: int | None) -> tuple[tuple[SwapGate, ...], tuple[SwapGate, ...]]:
+    """The swap chain out for the pair (k, k + 1) and the inverted chain back, built once per pair."""
     data_position(k + 1, m, n_logical)  # bounds check for the pair
-    chain = swap_chain(k, m)
+    chain = tuple(swap_chain(k, m))
     return chain, chain[::-1]
 
 
@@ -102,16 +104,11 @@ def compile_circuit(circuit: LogicalCircuit, params: EncodingParams) -> tuple[Ph
     m = params.m
     n = circuit.n_qubits
     gates: list[Gate] = []
-    walks: dict[int, tuple[list[SwapGate], list[SwapGate]]] = {}  # the SwapGates of each pair, built once
     for g in circuit.gates:
         if isinstance(g, Gate1Q):
             gates.append(Gate1Q(data_position(g.qubit, m, n), g.matrix, g.name))
         elif isinstance(g, Gate2Q):
-            k = g.qubit
-            out, back = walks.get(k) or walks.setdefault(k, _walk(k, m, n))
-            gates += out
-            gates.append(Gate2Q(k * m, g.matrix, g.name))
-            gates += back
+            gates.extend(compile_two_qubit(g, m, n))
         elif isinstance(g, WaitGate):
             gates.append(g)
         else:

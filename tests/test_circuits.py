@@ -248,8 +248,9 @@ def test_gate_matrix_is_a_read_only_copy():
     assert g.matrix[0, 0] == 0
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 1
-    with pytest.raises(ValueError):
-        g.matrix.setflags(write=True)
+    for a in (g.matrix, g.matrix.base, GATES_1Q["h"], GATES_1Q["h"].base):
+        with pytest.raises(ValueError):
+            a.setflags(write=True)  # neither the matrix nor the memory under it
     with pytest.raises(ValueError):
         GATES_2Q["cnot"][0, 0] = 0
 
