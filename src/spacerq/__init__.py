@@ -9,12 +9,6 @@ quality.
 """
 
 from .analysis import (
-    DualRailPoint,
-    PredictionParams,
-    QualityCurve,
-    QualityRow,
-    ResourceEstimate,
-    ScalingFit,
     SweepConfig,
     critical_register_size,
     curve_to_csv,
@@ -22,17 +16,13 @@ from .analysis import (
     dual_rail_points,
     fit_axis,
     fit_dual_rail_exponent,
-    fit_power_law,
     idle_wait_steps,
     measure_effective_coupling,
-    predicted_sigma,
     quality_decay_r2,
-    quality_from_sigma,
     resource_table,
     run_sweep,
     sandwich_quality,
     sigma_from_quality,
-    spacer_phase_rate,
 )
 from .circuits import (
     GATES_1Q,
@@ -43,46 +33,15 @@ from .circuits import (
     PhysicalCircuit,
     SwapGate,
     WaitGate,
-    circuit_from_dict,
-    circuit_to_dict,
-    document_is_physical,
     dumps_circuit,
     loads_circuit,
 )
-from .encoder import (
-    EncodingParams,
-    ResourceReport,
-    check_dual_rail,
-    check_spacer_sites,
-    compile_circuit,
-    compile_two_qubit,
-    data_position,
-    dual_rail_encode,
-    encode_basis,
-    spacer_sites,
-    swap_chain,
-)
-from .errors import CapacityError, CircuitFormatError, SpacerqError, UnsupportedGateError
-from .interactions import (
-    CouplingLaw,
-    InteractionParams,
-    PairHamiltonian,
-    RegisterLayout,
-    coulomb_nonadditive,
-    coupling_strength,
-    decompose,
-    delta_omega,
-    dimensionless_delta,
-    error_phase,
-    pair_hamiltonian,
-)
+from .encoder import EncodingParams, check_dual_rail, compile_circuit, compile_two_qubit, dual_rail_encode
+from .errors import CapacityError, CircuitFormatError, UnsupportedGateError
+from .interactions import CouplingLaw, RegisterLayout
 from .simulator import (
-    MAX_QUBITS,
     ErrorModel,
-    RunResult,
     StateVector,
-    align_global_phase,
-    apply_error_step,
     apply_gate,
     encode_logical_state,
     extract_logical_state,
@@ -98,77 +57,44 @@ __all__ = [
     "CapacityError",
     "CircuitFormatError",
     "CouplingLaw",
-    "DualRailPoint",
     "EncodingParams",
     "ErrorModel",
     "GATES_1Q",
     "GATES_2Q",
     "Gate1Q",
     "Gate2Q",
-    "InteractionParams",
     "LogicalCircuit",
-    "MAX_QUBITS",
-    "PairHamiltonian",
     "PhysicalCircuit",
-    "PredictionParams",
-    "QualityCurve",
-    "QualityRow",
     "RegisterLayout",
-    "ResourceEstimate",
-    "ResourceReport",
-    "RunResult",
-    "ScalingFit",
-    "SpacerqError",
     "StateVector",
     "SwapGate",
     "SweepConfig",
     "UnsupportedGateError",
     "WaitGate",
-    "align_global_phase",
-    "apply_error_step",
     "apply_gate",
     "check_dual_rail",
-    "check_spacer_sites",
-    "circuit_from_dict",
-    "circuit_to_dict",
     "compile_circuit",
     "compile_two_qubit",
-    "coulomb_nonadditive",
-    "coupling_strength",
     "critical_register_size",
     "curve_to_csv",
     "curve_to_dict",
-    "data_position",
-    "decompose",
-    "delta_omega",
-    "dimensionless_delta",
-    "document_is_physical",
     "dual_rail_encode",
     "dual_rail_points",
     "dumps_circuit",
-    "encode_basis",
     "encode_logical_state",
-    "error_phase",
     "extract_logical_state",
     "fit_axis",
     "fit_dual_rail_exponent",
-    "fit_power_law",
     "idle_wait_steps",
     "loads_circuit",
     "measure_effective_coupling",
-    "pair_hamiltonian",
-    "predicted_sigma",
     "quality",
     "quality_decay_r2",
-    "quality_from_sigma",
     "resource_table",
     "run",
     "run_compressed",
     "run_sweep",
     "sandwich_quality",
     "sigma_from_quality",
-    "spacer_phase_rate",
-    "spacer_sites",
     "states_close",
-    "swap_chain",
 ]

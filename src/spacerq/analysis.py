@@ -59,24 +59,6 @@ def quality_from_sigma(sigma: float) -> float:
     return math.exp(-(sigma**2))
 
 
-@dataclass(frozen=True)
-class PredictionParams:
-    """Inputs of the worst-case dispersion estimate sigma = C * P * sqrt(L) * delta."""
-
-    prefactor: float
-    steps: float
-    n_logical: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.steps < 0 or self.n_logical < 1 or self.delta < 0 or self.prefactor < 0:
-            raise ValueError("prediction parameters out of range")
-
-
-def predicted_sigma(params: PredictionParams) -> float:
-    return params.prefactor * params.steps * math.sqrt(params.n_logical) * params.delta
-
-
 def critical_register_size(delta: float) -> float:
     """Register size at which one step dephases O(1): L_crit = 1 / delta^2."""
     if delta <= 0.0:

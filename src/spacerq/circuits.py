@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -39,6 +40,18 @@ def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
+def _index(value, message: str) -> int:
+    """``value`` as a plain int under the parser's rule: what ``operator.index`` takes, booleans excepted."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{message}, got {value!r}")
+
+
 GATES_1Q: dict[str, np.ndarray] = {
     name: _check_unitary(u, 2)
     for name, u in {
@@ -66,8 +79,10 @@ class Gate1Q:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.qubit < 1:
+        qubit = _index(self.qubit, "qubit index must be an integer")
+        if qubit < 1:
             raise ValueError("qubit index must be >= 1")
+        object.__setattr__(self, "qubit", qubit)
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, 2))
 
     def __eq__(self, other: object) -> bool:
@@ -88,8 +103,10 @@ class Gate2Q:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.qubit < 1:
+        qubit = _index(self.qubit, "qubit index must be an integer")
+        if qubit < 1:
             raise ValueError("qubit index must be >= 1")
+        object.__setattr__(self, "qubit", qubit)
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, 4))
 
     def __eq__(self, other: object) -> bool:
@@ -108,8 +125,10 @@ class SwapGate:
     site: int
 
     def __post_init__(self) -> None:
-        if self.site < 1:
+        site = _index(self.site, "site index must be an integer")
+        if site < 1:
             raise ValueError("site index must be >= 1")
+        object.__setattr__(self, "site", site)
 
 
 @dataclass(frozen=True)
@@ -119,8 +138,10 @@ class WaitGate:
     steps: int
 
     def __post_init__(self) -> None:
-        if int(self.steps) != self.steps or self.steps < 0:
+        steps = _index(self.steps, "steps must be a non-negative integer")
+        if steps < 0:
             raise ValueError("steps must be a non-negative integer")
+        object.__setattr__(self, "steps", steps)
 
 
 Gate = Gate1Q | Gate2Q | SwapGate | WaitGate
@@ -138,8 +159,10 @@ class LogicalCircuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+        n_qubits = _index(self.n_qubits, "n_qubits must be an integer")
+        if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if isinstance(g, SwapGate):
@@ -170,8 +193,10 @@ class PhysicalCircuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
+        n_sites = _index(self.n_sites, "n_sites must be an integer")
+        if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
+        object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if isinstance(g, Gate1Q) and g.qubit > self.n_sites:
@@ -356,18 +381,15 @@ def _entry_text(entry: dict) -> str:
 
 
 def _gate_text(g: Gate, texts: dict) -> str:
-    """The text of one gate entry; all but matrices are formatted once per key in ``texts``.
-
-    Keys carry the type of each value: json writes True as true and 1.0 as 1.0, both equal to 1.
-    """
+    """The text of one gate entry; all but matrices are formatted once per key in ``texts``."""
     if isinstance(g, SwapGate):
-        key: tuple = (SwapGate, type(g.site), g.site)
+        key: tuple = (SwapGate, g.site)
     elif isinstance(g, WaitGate):
-        key = (WaitGate, type(g.steps), g.steps)
+        key = (WaitGate, g.steps)
     elif _is_named(g):
-        key = (type(g), type(g.qubit), g.qubit, g.name)
+        key = (type(g), g.qubit, g.name)
     else:
-        key = (type(g), type(g.qubit), g.qubit)
+        key = (type(g), g.qubit)
         head = texts.get(key)
         if head is None:
             head = texts[key] = _entry_text({**_gate_entry(g), "matrix": None})[: -len("null\n  }")]

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _Q_SATURATION,
     SweepConfig,
     curve_to_csv,
     curve_to_dict,
@@ -43,8 +44,6 @@ from .simulator import (
     run,
     run_compressed,
 )
-
-_Q_SATURATION = 1.0 - 1e-12
 
 
 def _read_text(path: str) -> str:

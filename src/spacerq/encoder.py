@@ -24,10 +24,9 @@ from .errors import UnsupportedGateError
 
 @dataclass(frozen=True)
 class EncodingParams:
-    """Spacer multiplicity m (register dilution factor) and dual-rail flag."""
+    """Spacer multiplicity m (register dilution factor)."""
 
     m: int = 1
-    dual_rail: bool = False
 
     def __post_init__(self) -> None:
         if int(self.m) != self.m or self.m < 1:
@@ -97,10 +96,6 @@ def compile_circuit(circuit: LogicalCircuit, params: EncodingParams) -> tuple[Ph
     report.  The step bound p_prime_bound = (2m - 1) * P is tight exactly
     when the circuit consists of two-qubit gates only.
     """
-    if params.dual_rail:
-        raise UnsupportedGateError(
-            "no dual-rail gate set is compiled; dual-rail covers state encoding and idle analysis"
-        )
     m = params.m
     n = circuit.n_qubits
     gates: list[Gate] = []

@@ -5,9 +5,10 @@ Two charge-like qubits whose basis states carry charges ``a`` (for 0) and
 pair Hamiltonian ``diag(a^2, ab, ab, b^2)`` over |00>, |01>, |10>, |11>.
 The additive part of that spectrum acts like independent single-qubit
 shifts and can be absorbed into the rotating frame; the nonadditive
-remainder entangles the pair at rate ``delta_omega = (a - b)^2 / 2``
-(hbar = 1).  Over one gate time ``tau`` the accumulated dimensionless
-phase is ``delta = tau * delta_omega``.
+remainder entangles the pair at rate (a - b)^2 / 2 (hbar = 1).  Over one
+gate time tau the accumulated dimensionless phase is
+delta = tau * (a - b)^2 / 2, which ``CouplingLaw.delta1`` holds for
+nearest neighbours.
 
 In a 1D register the pair strength falls off with site distance as a
 power law, ``delta1 / d**p`` (``p = 3`` for dipole-like decay, ``p = 1``
@@ -23,38 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-_FORM_TOL = 1e-9  # relative tolerance when validating a product-form spectrum
-
-
-@dataclass(frozen=True)
-class InteractionParams:
-    """Charge pair (a, b) and basic gate duration tau."""
-
-    a: float
-    b: float
-    tau: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-
-
-@dataclass(frozen=True)
-class PairHamiltonian:
-    """Diagonal two-qubit Hamiltonian over the basis |00>, |01>, |10>, |11>."""
-
-    diag: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.diag) != 4:
-            raise ValueError("diag must have exactly four entries")
-        if not all(math.isfinite(x) for x in self.diag):
-            raise ValueError("diag entries must be finite")
-        object.__setattr__(self, "diag", tuple(float(x) for x in self.diag))
 
 
 @dataclass(frozen=True)
@@ -96,46 +65,6 @@ class RegisterLayout:
         if not (1 <= i <= self.n_sites and 1 <= j <= self.n_sites):
             raise ValueError("site index out of range")
         return abs(i - j) * self.spacing
-
-
-def pair_hamiltonian(params: InteractionParams) -> PairHamiltonian:
-    """Product-potential pair spectrum diag(a^2, ab, ab, b^2)."""
-    a, b = params.a, params.b
-    return PairHamiltonian((a * a, a * b, a * b, b * b))
-
-
-def decompose(h: PairHamiltonian) -> tuple[PairHamiltonian, PairHamiltonian]:
-    """Split a product-form pair Hamiltonian into additive + nonadditive parts.
-
-    The additive part replaces both middle entries with the mean of the end
-    entries, which is the largest piece expressible as independent
-    single-qubit shifts.  The remainder, diag(0, -(a-b)^2/2, -(a-b)^2/2, 0),
-    is the entangling piece.  Rejects spectra that are not of the form
-    diag(a^2, ab, ab, b^2).
-    """
-    d0, d1, d2, d3 = h.diag
-    scale = max(abs(x) for x in h.diag) or 1.0
-    if abs(d1 - d2) > _FORM_TOL * scale:
-        raise ValueError("middle entries differ; not a product-form spectrum")
-    if d0 < -_FORM_TOL * scale or d3 < -_FORM_TOL * scale:
-        raise ValueError("end entries must be non-negative (squared charges)")
-    if abs(d0 * d3 - d1 * d1) > _FORM_TOL * scale * scale:
-        raise ValueError("entries violate d0*d3 == d1^2; not a product-form spectrum")
-    mid = 0.5 * (d0 + d3)
-    additive = PairHamiltonian((d0, mid, mid, d3))
-    nonadditive = PairHamiltonian((0.0, d1 - mid, d2 - mid, 0.0))
-    return additive, nonadditive
-
-
-def delta_omega(params: InteractionParams) -> float:
-    """Entangling rate (a - b)^2 / 2 of the nonadditive part (hbar = 1)."""
-    d = params.a - params.b
-    return 0.5 * d * d
-
-
-def dimensionless_delta(params: InteractionParams) -> float:
-    """Phase tau * delta_omega accumulated over one basic gate time."""
-    return params.tau * delta_omega(params)
 
 
 def coupling_strength(law: CouplingLaw, distance: float) -> float:

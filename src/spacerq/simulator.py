@@ -5,12 +5,20 @@ step each basis state picks up phase exp(-i * error_phase) from the
 always-on interaction.  The model is diagonal, so the error step is an
 exact diagonal unitary, not a perturbative approximation.
 
-Two engines cover the same physics.  ``run`` evolves the full register
-(dense, capped at MAX_QUBITS).  ``run_compressed`` evolves only the 2^L
-logical amplitudes of a spacer-encoded register, tracking where each
-data qubit currently sits; spacers stay |0>, so data-spacer coupling
-reduces to known single-qubit phases and spacer-spacer pairs contribute
-nothing.  Both engines agree amplitude-for-amplitude.
+One engine covers both entry points.  It evolves the amplitudes of the
+register's tracked contents and follows which site holds each of them,
+so a swap only relabels sites.  An untracked content is a spacer held
+in |0>.  The error phase of a step is then the quadratic form
+
+    phi(x) = sum_k a_k x_k + sum_{k<l} b_kl x_k x_l
+
+over the tracked bits x, with b_kl = -2 J_kl for the coupling J_kl at
+the contents' current distance and a_k the coupling of content k's site
+to every other site: a spacer adds a known single-qubit phase, and
+spacer-spacer pairs never differ.  ``run`` tracks all n contents (dense,
+capped at MAX_QUBITS) and returns the state in site order;
+``run_compressed`` tracks only the L data qubits of a spacer-encoded
+register, i.e. its 2^L logical amplitudes.
 
 Site 1 maps to the most significant bit of the amplitude index, so
 ``int(bits, 2)`` is the index of basis state ``bits``.
@@ -18,10 +26,8 @@ Site 1 maps to the most significant bit of the amplitude index, so
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -112,55 +118,122 @@ class RunResult:
     spacer_check: tuple[bool, ...] | None = None
 
 
-# --- dense kernels --------------------------------------------------------
+# --- engine ---------------------------------------------------------------
 
 
-def _apply_1q(amps: np.ndarray, n: int, site: int, u: np.ndarray) -> np.ndarray:
-    t = np.moveaxis(amps.reshape((2,) * n), site - 1, -1)
-    return np.moveaxis(t @ u.T, -1, site - 1).reshape(-1)
+def _apply_1q(amps: np.ndarray, n: int, axis: int, u: np.ndarray) -> np.ndarray:
+    t = np.moveaxis(amps.reshape((2,) * n), axis - 1, -1)
+    return np.moveaxis(t @ u.T, -1, axis - 1).reshape(-1)
 
 
 def _apply_pair(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray) -> np.ndarray:
-    # u acts on (qa, qb) in that slot order; qa need not be < qb
+    # u acts on axes (qa, qb) in that slot order; qa need not be < qb
     t = np.moveaxis(amps.reshape((2,) * n), (qa - 1, qb - 1), (-2, -1))
     shape = t.shape
     t = (t.reshape(-1, 4) @ u.T).reshape(shape)
     return np.moveaxis(t, (-2, -1), (qa - 1, qb - 1)).reshape(-1)
 
 
-def _apply_swap(amps: np.ndarray, n: int, site: int) -> np.ndarray:
-    # pure axis exchange: exact, no arithmetic on the amplitudes
-    t = np.swapaxes(amps.reshape((2,) * n), site - 1, site)
-    return np.ascontiguousarray(t).reshape(-1)
+def _phases(model: ErrorModel, contents: list[int], n: int, exclude: tuple[int, int] | None) -> np.ndarray:
+    """Error phase of one step for every basis index of the n tracked contents.
 
+    ``contents[s]`` is the amplitude axis (1..n) of the content on site s,
+    or 0 for an untracked spacer held in |0>; entry 0 is unused.  The
+    coupling of the site pair ``exclude`` is left out.
 
-@functools.lru_cache(maxsize=8)
-def _phase_table(n: int, spacing: float, delta1: float, exponent: int, cutoff: float | None) -> np.ndarray:
-    """error_phase evaluated for every basis index of an n-site register."""
-    law = CouplingLaw(delta1, exponent, cutoff)
-    idx = np.arange(1 << n, dtype=np.int64)
-    phi = np.zeros(1 << n, dtype=float)
-    for i in range(1, n + 1):
-        bi = (idx >> (n - i)) & 1
-        for j in range(i + 1, n + 1):
-            c = coupling_strength(law, (j - i) * spacing)
-            if c != 0.0:
-                phi += c * ((bi ^ ((idx >> (n - j)) & 1)).astype(float))
-    phi.setflags(write=False)
+    The phase is the quadratic form sum_k a_k x_k + sum_{k<l} b_kl x_k x_l
+    with b_kl = -2 J_kl and a_k = sum_l J_kl + r_k, where r_k couples
+    content k to the untracked sites.  It is summed as
+    sum_{k<l} J_kl [x_k != x_l], filled in by doubling in O(2^n), and then
+    r_k x_k for k = 1..n in turn: pairs first, spacer rates last.  The
+    order matters because near Q = 1 the dispersion sqrt(-ln Q) turns the
+    last bits of Q into printed digits.
+    """
+    n_sites = len(contents) - 1
+    law, spacing = model.law, model.layout.spacing
+    by_distance = np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, n_sites)])
+    sites = np.zeros(n, dtype=np.int64)
+    for s in range(1, n_sites + 1):
+        if contents[s]:
+            sites[contents[s] - 1] = s
+    # coupling[t - 1, k]: between site t and the site of content k (0 on its own site)
+    coupling = by_distance[np.abs(np.arange(1, n_sites + 1)[:, None] - sites)]
+    if exclude is not None:
+        i, j = exclude
+        if contents[j]:
+            coupling[i - 1, contents[j] - 1] = 0.0
+        if contents[i]:
+            coupling[j - 1, contents[i] - 1] = 0.0
+    pair = coupling[sites - 1]
+    untracked = [s - 1 for s in range(1, n_sites + 1) if not contents[s]]
+    spacer_rate = np.cumsum(coupling[untracked], axis=0)[-1] if untracked else np.zeros(n)  # in site order
+    phi = np.zeros(1 << n)
+    size = 1
+    for k in range(n - 1, -1, -1):  # axis k + 1, from the least significant bit up
+        differ0 = np.zeros(size)  # sum of J_kl over the placed axes l with x_l = 1
+        width = 1
+        for l in range(n - 1, k, -1):
+            np.add(differ0[:width], pair[k, l], out=differ0[width : 2 * width])
+            width *= 2
+        # with x_k = 1 the differing axes are the complement, i.e. the reversed index
+        np.add(phi[:size], differ0[::-1], out=phi[size : 2 * size])
+        phi[:size] += differ0
+        size *= 2
+    for k in range(n):
+        if spacer_rate[k] != 0.0:
+            phi.reshape(1 << k, 2, -1)[:, 1, :] += spacer_rate[k]
     return phi
 
 
-def _error_phases(n: int, model: ErrorModel, exclude_pair: tuple[int, int] | None) -> np.ndarray:
-    phi = _phase_table(n, model.layout.spacing, model.law.delta1, model.law.exponent, model.law.cutoff)
-    if exclude_pair is None:
-        return phi
-    i, j = exclude_pair
-    c = coupling_strength(model.law, abs(j - i) * model.layout.spacing)
-    if c == 0.0:
-        return phi
-    idx = np.arange(1 << n, dtype=np.int64)
-    xor = ((idx >> (n - i)) ^ (idx >> (n - j))) & 1
-    return phi - c * xor.astype(float)
+def _evolve(
+    circuit: PhysicalCircuit | LogicalCircuit,
+    model: ErrorModel,
+    contents: list[int],
+    amps: np.ndarray,
+    n: int,
+    on_step: Callable[[np.ndarray], None] | None,
+) -> np.ndarray:
+    """Serial schedule on the amplitudes of the tracked contents; ``contents`` is updated in place.
+
+    A swap only exchanges two entries of ``contents``.  Every gate, and every
+    step of a wait, is followed by one error step, after which ``on_step``
+    sees the amplitudes.
+    """
+    phi_key, phi = None, None  # (layout, excluded pair) of the last phase vector, and that vector
+    for gate in circuit.gates:
+        pair = None
+        if isinstance(gate, Gate1Q):
+            k = contents[gate.qubit]
+            if not k:
+                raise UnsupportedGateError(f"one-qubit gate on site {gate.qubit} addresses a spacer")
+            amps = _apply_1q(amps, n, k, gate.matrix)
+        elif isinstance(gate, Gate2Q):
+            pair = (gate.qubit, gate.qubit + 1)
+            ka, kb = contents[gate.qubit], contents[gate.qubit + 1]
+            if not (ka and kb):
+                raise UnsupportedGateError(f"two-qubit gate on sites {pair} addresses a spacer")
+            amps = _apply_pair(amps, n, ka, kb, gate.matrix)
+        elif isinstance(gate, SwapGate):
+            s = gate.site
+            pair = (s, s + 1)
+            contents[s], contents[s + 1] = contents[s + 1], contents[s]
+        elif not isinstance(gate, WaitGate):
+            raise UnsupportedGateError(f"cannot run {gate!r}")
+        exclude = pair if model.compensate_active_pair else None
+        key = (tuple(contents), exclude)
+        if key != phi_key:
+            phi_key, phi = key, _phases(model, contents, n, exclude)
+        for _ in range(gate.steps if isinstance(gate, WaitGate) else 1):
+            amps = amps * np.exp(-1j * phi)
+            if on_step is not None:
+                on_step(amps)
+    return amps
+
+
+def _n_logical(n_sites: int, m: int) -> int:
+    if n_sites % m != 0:
+        raise ValueError(f"register of {n_sites} sites is not a multiple of m={m}")
+    return n_sites // m
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -177,66 +250,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if isinstance(gate, SwapGate):
         if gate.site + 1 > n:
             raise ValueError(f"swap at {gate.site} out of range for {n} qubits")
-        return StateVector(n, _apply_swap(state.amplitudes, n, gate.site))
+        # pure axis exchange: exact, no arithmetic on the amplitudes
+        t = np.swapaxes(state.amplitudes.reshape((2,) * n), gate.site - 1, gate.site)
+        return StateVector(n, np.ascontiguousarray(t).reshape(-1))
     if isinstance(gate, WaitGate):
         return state
     raise UnsupportedGateError(f"cannot apply {gate!r}")
-
-
-def apply_error_step(state: StateVector, model: ErrorModel, exclude_pair: tuple[int, int] | None = None) -> StateVector:
-    """One crosstalk step: multiply each basis amplitude by exp(-i * error_phase)."""
-    if model.layout.n_sites != state.n:
-        raise ValueError("layout size does not match the state")
-    phi = _error_phases(state.n, model, exclude_pair)
-    return StateVector(state.n, state.amplitudes * np.exp(-1j * phi))
-
-
-class _SiteTracker:
-    """Tracks which physical site currently holds each data qubit / spacer."""
-
-    def __init__(self, n_sites: int, m: int):
-        if n_sites % m != 0:
-            raise ValueError(f"register of {n_sites} sites is not a multiple of m={m}")
-        self.n_sites = n_sites
-        self.m = m
-        self.n_logical = n_sites // m
-        # contents[s] = logical index k for data, or 0 for a spacer (1-indexed sites)
-        self.contents = [0] * (n_sites + 1)
-        for k in range(1, self.n_logical + 1):
-            self.contents[data_position(k, m)] = k
-
-    def swap(self, site: int) -> None:
-        c = self.contents
-        c[site], c[site + 1] = c[site + 1], c[site]
-
-    def data_at(self, site: int) -> int | None:
-        k = self.contents[site]
-        return k if k else None
-
-    def data_sites(self) -> list[int]:
-        """Site of each data qubit, indexed by logical qubit (entry 0 unused)."""
-        sites = [0] * (self.n_logical + 1)
-        for s in range(1, self.n_sites + 1):
-            if self.contents[s]:
-                sites[self.contents[s]] = s
-        return sites
-
-    def spacer_site_list(self) -> list[int]:
-        return [s for s in range(1, self.n_sites + 1) if not self.contents[s]]
-
-    def spacer_index_mask(self) -> int:
-        mask = 0
-        for s in self.spacer_site_list():
-            mask |= 1 << (self.n_sites - s)
-        return mask
-
-
-def _spacers_clean(amps: np.ndarray, n: int, mask: int) -> bool:
-    if mask == 0:
-        return True
-    idx = np.arange(1 << n, dtype=np.int64)
-    good = float(np.sum(np.abs(amps[(idx & mask) == 0]) ** 2))
-    return 1.0 - good <= SPACER_TOL
 
 
 def run(
@@ -247,9 +266,9 @@ def run(
 ) -> RunResult:
     """Serial full-register run: each gate, then one error step (waits: one per step).
 
-    With ``encoding`` supplied, the run also tracks data-qubit positions
-    through swaps and records a per-step verdict that every site currently
-    holding a spacer measures |0> with probability 1 (within SPACER_TOL).
+    With ``encoding`` supplied, the run also records a per-step verdict that
+    every site currently holding a spacer measures |0> with probability 1
+    (within SPACER_TOL); swaps carry spacers along.
     """
     n = circuit.n_sites if isinstance(circuit, PhysicalCircuit) else circuit.n_qubits
     if n > MAX_QUBITS:
@@ -261,84 +280,20 @@ def run(
     if initial.n != n:
         raise ValueError("initial state size does not match the circuit")
 
-    tracker = _SiteTracker(n, encoding.m) if encoding is not None else None
-    amps = initial.amplitudes.copy()
     verdicts: list[bool] = []
-    steps = 0
+    on_step = None
+    if encoding is not None:
+        m = encoding.m
+        # content c starts on site c, so the spacer contents are all 0 exactly on the home-layout data indices
+        clean = _encoded_indices(_n_logical(n, m), m) if m > 1 else None
 
-    def error_step(active_pair: tuple[int, int] | None) -> None:
-        nonlocal amps, steps
-        exclude = active_pair if model.compensate_active_pair else None
-        amps = amps * np.exp(-1j * _error_phases(n, model, exclude))
-        steps += 1
-        if tracker is not None:
-            verdicts.append(_spacers_clean(amps, n, tracker.spacer_index_mask()))
+        def on_step(amps: np.ndarray) -> None:
+            verdicts.append(clean is None or 1.0 - float(np.sum(np.abs(amps[clean]) ** 2)) <= SPACER_TOL)
 
-    for gate in circuit.gates:
-        if isinstance(gate, WaitGate):
-            for _ in range(gate.steps):
-                error_step(None)
-            continue
-        if isinstance(gate, Gate1Q):
-            amps = _apply_1q(amps, n, gate.qubit, gate.matrix)
-            error_step(None)
-        elif isinstance(gate, Gate2Q):
-            amps = _apply_pair(amps, n, gate.qubit, gate.qubit + 1, gate.matrix)
-            error_step((gate.qubit, gate.qubit + 1))
-        elif isinstance(gate, SwapGate):
-            amps = _apply_swap(amps, n, gate.site)
-            if tracker is not None:
-                tracker.swap(gate.site)
-            error_step((gate.site, gate.site + 1))
-        else:
-            raise UnsupportedGateError(f"cannot run {gate!r}")
-
-    return RunResult(StateVector(n, amps), steps, tuple(verdicts) if tracker is not None else None)
-
-
-# --- compressed engine ----------------------------------------------------
-
-
-@functools.lru_cache(maxsize=8)
-def _bit_table(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    table = np.empty((n + 1, 1 << n), dtype=np.uint8)  # row 0 unused; rows are 1-indexed
-    for k in range(1, n + 1):
-        table[k] = (idx >> (n - k)) & 1
-    table.setflags(write=False)
-    return table
-
-
-def _compressed_phases(
-    tracker: _SiteTracker,
-    model: ErrorModel,
-    exclude_pair: tuple[int, int] | None,
-) -> np.ndarray:
-    """Per-logical-basis-state phase of one error step, from current positions."""
-    law, spacing = model.law, model.layout.spacing
-    nl = tracker.n_logical
-    sites = tracker.data_sites()
-    spacers = tracker.spacer_site_list()
-    excluded = set(exclude_pair) if exclude_pair is not None else set()
-    bits = _bit_table(nl)
-    phi = np.zeros(1 << nl, dtype=float)
-    for k in range(1, nl + 1):
-        for l in range(k + 1, nl + 1):
-            if {sites[k], sites[l]} == excluded:
-                continue
-            c = coupling_strength(law, abs(sites[k] - sites[l]) * spacing)
-            if c != 0.0:
-                phi += c * (bits[k] ^ bits[l]).astype(float)
-    for k in range(1, nl + 1):
-        rate = 0.0
-        for s in spacers:
-            if {sites[k], s} == excluded:
-                continue
-            rate += coupling_strength(law, abs(sites[k] - s) * spacing)
-        if rate != 0.0:
-            phi += rate * bits[k].astype(float)
-    # spacer-spacer pairs hold equal bits (0, 0) and contribute no phase
-    return phi
+    contents = list(range(n + 1))
+    amps = _evolve(circuit, model, contents, initial.amplitudes.copy(), n, on_step)
+    final = np.transpose(amps.reshape((2,) * n), [c - 1 for c in contents[1:]]).reshape(-1)
+    return RunResult(StateVector(n, final), circuit.step_count, tuple(verdicts) if encoding is not None else None)
 
 
 def run_compressed(
@@ -356,43 +311,13 @@ def run_compressed(
     n = circuit.n_sites
     if model.layout.n_sites != n:
         raise ValueError("layout size does not match the circuit")
-    tracker = _SiteTracker(n, encoding.m)
-    nl = tracker.n_logical
+    nl = _n_logical(n, encoding.m)
     if logical_initial.n != nl:
         raise ValueError(f"logical state has {logical_initial.n} qubits, expected {nl}")
-    amps = logical_initial.amplitudes.copy()
-
-    def error_step(active_pair: tuple[int, int] | None) -> None:
-        nonlocal amps
-        exclude = active_pair if model.compensate_active_pair else None
-        amps = amps * np.exp(-1j * _compressed_phases(tracker, model, exclude))
-
-    for gate in circuit.gates:
-        if isinstance(gate, WaitGate):
-            for _ in range(gate.steps):
-                error_step(None)
-            continue
-        if isinstance(gate, Gate1Q):
-            k = tracker.data_at(gate.qubit)
-            if k is None:
-                raise UnsupportedGateError(f"one-qubit gate on site {gate.qubit} addresses a spacer")
-            amps = _apply_1q(amps, nl, k, gate.matrix)
-            error_step(None)
-        elif isinstance(gate, Gate2Q):
-            ka, kb = tracker.data_at(gate.qubit), tracker.data_at(gate.qubit + 1)
-            if ka is None or kb is None:
-                raise UnsupportedGateError(
-                    f"two-qubit gate on sites ({gate.qubit}, {gate.qubit + 1}) addresses a spacer"
-                )
-            amps = _apply_pair(amps, nl, ka, kb, gate.matrix)
-            error_step((gate.qubit, gate.qubit + 1))
-        elif isinstance(gate, SwapGate):
-            tracker.swap(gate.site)
-            error_step((gate.site, gate.site + 1))
-        else:
-            raise UnsupportedGateError(f"cannot run {gate!r}")
-
-    return StateVector(nl, amps)
+    contents = [0] * (n + 1)
+    for k in range(1, nl + 1):
+        contents[data_position(k, encoding.m)] = k
+    return StateVector(nl, _evolve(circuit, model, contents, logical_initial.amplitudes.copy(), nl, None))
 
 
 # --- state maps and measures ----------------------------------------------
@@ -421,9 +346,7 @@ def encode_logical_state(logical: StateVector, m: int) -> StateVector:
 
 def extract_logical_state(state: StateVector, m: int) -> StateVector:
     """Read the logical amplitudes back off the data sites (home layout)."""
-    if state.n % m != 0:
-        raise ValueError(f"register of {state.n} sites is not a multiple of m={m}")
-    nl = state.n // m
+    nl = _n_logical(state.n, m)
     return StateVector(nl, state.amplitudes[_encoded_indices(nl, m)].copy())
 
 

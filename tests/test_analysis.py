@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spacerq.analysis import (
-    PredictionParams,
     SweepConfig,
     critical_register_size,
     curve_to_csv,
@@ -18,7 +17,6 @@ from spacerq.analysis import (
     format_float,
     idle_wait_steps,
     measure_effective_coupling,
-    predicted_sigma,
     quality_decay_r2,
     quality_from_sigma,
     resource_table,
@@ -50,21 +48,20 @@ def test_sigma_quality_inversion():
 
 def test_predicted_sigma_product_form():
     # delta = 2^-6 keeps every factor exact in binary floating point:
-    # 1 * 5e6 * sqrt(1e4) * 2^-6 = 5e8 / 64 = 7812500
-    p = PredictionParams(1.0, 5e6, 1e4, 0.015625)
-    assert predicted_sigma(p) == 7812500.0
-    assert predicted_sigma(PredictionParams(2.0, 10.0, 4.0, 0.01)) == pytest.approx(0.4, rel=1e-15)
-    assert predicted_sigma(PredictionParams(2.0, 10.0, 4.0, 0.0)) == 0.0
+    # 5e6 * sqrt(1e4) * 2^-6 = 5e8 / 64 = 7812500
+    assert resource_table(1e4, 5e6, 0.015625).sigma == 7812500.0
+    assert resource_table(4.0, 10.0, 0.01).sigma == pytest.approx(0.2, rel=1e-15)
+    assert resource_table(4.0, 10.0, 0.0).sigma == 0.0
     with pytest.raises(ValueError):
-        PredictionParams(1.0, -1.0, 4.0, 0.01)
+        resource_table(4.0, -1.0, 0.01)
 
 
 def test_predicted_sigma_sqrt_scaling_is_exact():
     # quadrupling the register doubles sigma bit for bit: sqrt(4L) = 2 sqrt(L)
     # and scaling a product by 2 commutes with rounding
     for n in (3.0, 7.0, 1e4, 12345.0):
-        base = predicted_sigma(PredictionParams(1.3, 17.0, n, 0.021))
-        quad = predicted_sigma(PredictionParams(1.3, 17.0, 4.0 * n, 0.021))
+        base = resource_table(n, 17.0, 0.021).sigma
+        quad = resource_table(4.0 * n, 17.0, 0.021).sigma
         assert quad == 2.0 * base
 
 

@@ -207,6 +207,62 @@ def test_wait_zero_round_trips():
     assert c.step_count == 0
 
 
+class _Index:
+    """Integer-like but not an int, like a numpy integer scalar."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+_CONSTRUCTORS = {
+    "Gate1Q": lambda v: Gate1Q(v, GATES_1Q["h"], "h"),
+    "Gate2Q": lambda v: Gate2Q(v, GATES_2Q["cz"], "cz"),
+    "SwapGate": SwapGate,
+    "WaitGate": WaitGate,
+    "LogicalCircuit": LogicalCircuit,
+    "PhysicalCircuit": PhysicalCircuit,
+}
+
+
+@pytest.mark.parametrize("make", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, np.float64(2.0), 2.5, "2", None])
+def test_constructors_reject_booleans_and_non_integers(make, value):
+    # the JSON parser refuses these, so a circuit holding one could not be read back
+    with pytest.raises(ValueError):
+        make(value)
+
+
+@st.composite
+def _index_like_circuits(draw):
+    def index(lo: int, hi: int):
+        value = draw(st.integers(lo, hi))
+        return draw(st.sampled_from([value, np.int64(value), np.uint16(value), _Index(value)]))
+
+    n = draw(st.integers(1, 5))
+    physical = draw(st.booleans())
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["1q", "2q", "swap", "wait"] if physical and n > 1 else ["1q", "2q", "wait"]))
+        if kind == "wait":
+            gates.append(WaitGate(index(0, 1000)))
+        elif kind == "1q" or n == 1:
+            gates.append(Gate1Q(index(1, n), *draw(st.sampled_from([(GATES_1Q["h"], "h"), (GATES_1Q["z"], None)]))))
+        elif kind == "2q":
+            gates.append(Gate2Q(index(1, n - 1), *draw(st.sampled_from([(GATES_2Q["cz"], "cz"), (GATES_2Q["cnot"], None)]))))
+        else:
+            gates.append(SwapGate(index(1, n - 1)))
+    return (PhysicalCircuit if physical else LogicalCircuit)(index(n, n), tuple(gates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_index_like_circuits())
+def test_index_like_constructor_arguments_round_trip(circuit):
+    assert loads_circuit(dumps_circuit(circuit), physical=isinstance(circuit, PhysicalCircuit)) == circuit
+
+
 # --- unitarity: checked once, kept read-only ---------------------------------
 
 

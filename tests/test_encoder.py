@@ -17,7 +17,6 @@ from spacerq.encoder import (
     spacer_sites,
     swap_chain,
 )
-from spacerq.errors import UnsupportedGateError
 
 
 def test_data_positions_are_block_leaders():
@@ -150,9 +149,9 @@ def test_dual_rail_words():
 
 
 def test_dual_rail_compile_is_not_offered():
-    logical = LogicalCircuit(2, (Gate2Q(1, GATES_2Q["cz"], "cz"),))
-    with pytest.raises(UnsupportedGateError):
-        compile_circuit(logical, EncodingParams(1, dual_rail=True))
+    # dual-rail covers state encoding and idle analysis; the encoder takes no dual-rail option
+    with pytest.raises(TypeError):
+        EncodingParams(1, dual_rail=True)
 
 
 def test_spacer_site_listing_and_check():

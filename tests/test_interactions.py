@@ -1,4 +1,4 @@
-"""Pair-interaction decomposition and coupling-law tests.
+"""Coupling-law, error-phase and dual-rail coupling tests.
 
 Oracle values are hand-derived from the closed forms and frozen here;
 the derivations are spelled out next to each constant.
@@ -10,77 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spacerq.interactions import (
-    CouplingLaw,
-    InteractionParams,
-    PairHamiltonian,
-    RegisterLayout,
-    coulomb_nonadditive,
-    coupling_strength,
-    decompose,
-    delta_omega,
-    dimensionless_delta,
-    error_phase,
-    pair_hamiltonian,
-)
-
-# a = 0.3, b = 0.7: diag = (a^2, ab, ab, b^2) = (0.09, 0.21, 0.21, 0.49)
-_ORACLE_DIAG = (0.09, 0.21, 0.21, 0.49)
-# delta_omega = (a - b)^2 / 2 = 0.16 / 2 = 0.08
-_ORACLE_DELTA_OMEGA = 0.08
-
-
-def test_pair_hamiltonian_product_form():
-    h = pair_hamiltonian(InteractionParams(0.3, 0.7))
-    assert h.diag == pytest.approx(_ORACLE_DIAG, abs=1e-15)
-    # integer amplitudes stay exact in floating point
-    assert pair_hamiltonian(InteractionParams(1.0, 1.0)).diag == (1.0, 1.0, 1.0, 1.0)
-    assert pair_hamiltonian(InteractionParams(1.0, 0.0)).diag == (1.0, 0.0, 0.0, 0.0)
-    assert pair_hamiltonian(InteractionParams(2.0, 3.0)).diag == (4.0, 6.0, 6.0, 9.0)
-
-
-def test_decompose_splits_additive_and_entangling():
-    h = pair_hamiltonian(InteractionParams(0.3, 0.7))
-    additive, nonadditive = decompose(h)
-    # additive: diag(a^2, (a^2+b^2)/2, (a^2+b^2)/2, b^2); midpoint = 0.58/2 = 0.29
-    assert additive.diag == pytest.approx((0.09, 0.29, 0.29, 0.49), abs=1e-15)
-    # entangling remainder: diag(0, -dw, -dw, 0) with dw = 0.08
-    assert nonadditive.diag == pytest.approx((0.0, -0.08, -0.08, 0.0), abs=1e-15)
-    for i in range(4):
-        assert additive.diag[i] + nonadditive.diag[i] == pytest.approx(h.diag[i], abs=1e-15)
-    # fully asymmetric pair (one amplitude dead): halves are exact
-    additive, nonadditive = decompose(pair_hamiltonian(InteractionParams(1.0, 0.0)))
-    assert additive.diag == (1.0, 0.5, 0.5, 0.0)
-    assert nonadditive.diag == (0.0, -0.5, -0.5, 0.0)
-
-
-def test_decompose_rejects_non_product_spectrum():
-    with pytest.raises(ValueError):
-        decompose(PairHamiltonian((0.09, 0.21, 0.22, 0.49)))
-    with pytest.raises(ValueError):
-        decompose(PairHamiltonian((0.1, 0.5, 0.5, 0.1)))  # d0*d3 != d1^2
-
-
-@given(st.floats(0.05, 5.0), st.floats(0.05, 5.0))
-def test_decompose_recombines_for_any_product_form(a, b):
-    h = pair_hamiltonian(InteractionParams(a, b))
-    additive, nonadditive = decompose(h)
-    for i in range(4):
-        assert math.isclose(additive.diag[i] + nonadditive.diag[i], h.diag[i], rel_tol=1e-12, abs_tol=1e-12)
-    # the entangling strength never exceeds zero and is symmetric in the middle
-    assert nonadditive.diag[0] == nonadditive.diag[3] == 0.0
-    assert nonadditive.diag[1] == nonadditive.diag[2] <= 0.0
-
-
-def test_delta_omega_frozen_value():
-    assert delta_omega(InteractionParams(0.3, 0.7)) == pytest.approx(_ORACLE_DELTA_OMEGA, abs=1e-15)
-    # equal amplitudes: no entangling part at all
-    assert delta_omega(InteractionParams(0.4, 0.4)) == 0.0
-
-
-def test_dimensionless_delta_scales_with_step_time():
-    p = InteractionParams(0.3, 0.7, tau=2.5)
-    assert dimensionless_delta(p) == pytest.approx(2.5 * _ORACLE_DELTA_OMEGA, abs=1e-15)
+from spacerq.interactions import CouplingLaw, RegisterLayout, coulomb_nonadditive, coupling_strength, error_phase
 
 
 def test_coupling_strength_inverse_cube():
@@ -163,10 +93,3 @@ def test_register_layout_distances():
         layout.distance(0, 3)
     with pytest.raises(ValueError):
         layout.distance(1, 6)
-
-
-def test_interaction_params_validation():
-    with pytest.raises(ValueError):
-        InteractionParams(0.3, 0.7, tau=0.0)
-    with pytest.raises(ValueError):
-        InteractionParams(math.nan, 0.7)

@@ -2,7 +2,8 @@
 
 The oracle below builds full 2^n x 2^n matrices and evaluates the error
 phases with explicit per-basis-state loops, sharing no kernel code with
-the package.  Fuzz comparisons pin the vectorized engines to it.
+the package.  Fuzz comparisons pin both entry points of the engine, `run`
+and `run_compressed`, to it.
 """
 
 import math
@@ -20,7 +21,6 @@ from spacerq.simulator import (
     ErrorModel,
     StateVector,
     align_global_phase,
-    apply_error_step,
     apply_gate,
     encode_logical_state,
     extract_logical_state,
@@ -170,12 +170,21 @@ def test_wait_gate_is_identity_under_apply_gate():
 # --- error step ---------------------------------------------------------------
 
 
+def _one_step(n: int) -> PhysicalCircuit:
+    return PhysicalCircuit(n, (WaitGate(1),))
+
+
+def _identity_pair(site: int) -> Gate2Q:
+    # with compensation on, the only effect of this gate is to leave out the pair's coupling
+    return Gate2Q(site, np.eye(4))
+
+
 def test_error_step_matches_bruteforce():
     rng = np.random.default_rng(21)
     n = 4
     model = ErrorModel(CouplingLaw(0.3), RegisterLayout(n, spacing=1.5))
     amps = random_state(rng, n)
-    got = apply_error_step(StateVector(n, amps), model).amplitudes
+    got = run(_one_step(n), model, StateVector(n, amps)).final.amplitudes
     want = oracle_error_step(amps, n, model)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -185,7 +194,7 @@ def test_error_step_with_cutoff_matches_bruteforce():
     n = 5
     model = ErrorModel(CouplingLaw(0.2, exponent=2, cutoff=2.0), RegisterLayout(n))
     amps = random_state(rng, n)
-    got = apply_error_step(StateVector(n, amps), model).amplitudes
+    got = run(_one_step(n), model, StateVector(n, amps)).final.amplitudes
     assert np.max(np.abs(got - oracle_error_step(amps, n, model))) < 1e-14
 
 
@@ -193,7 +202,7 @@ def test_error_step_zero_coupling_is_bit_exact():
     rng = np.random.default_rng(23)
     amps = random_state(rng, 3)
     model = ErrorModel(CouplingLaw(0.0), RegisterLayout(3))
-    got = apply_error_step(StateVector(3, amps), model).amplitudes
+    got = run(_one_step(3), model, StateVector(3, amps)).final.amplitudes
     assert np.array_equal(got, amps)
 
 
@@ -201,13 +210,13 @@ def test_error_step_pair_exclusion():
     # two sites, pair excluded: nothing left to dephase
     rng = np.random.default_rng(24)
     amps = random_state(rng, 2)
-    model = ErrorModel(CouplingLaw(0.7), RegisterLayout(2))
-    got = apply_error_step(StateVector(2, amps), model, exclude_pair=(1, 2)).amplitudes
+    model = ErrorModel(CouplingLaw(0.7), RegisterLayout(2), compensate_active_pair=True)
+    got = run(PhysicalCircuit(2, (_identity_pair(1),)), model, StateVector(2, amps)).final.amplitudes
     assert np.max(np.abs(got - amps)) < 1e-15
     # three sites: excluding (1,2) must still keep (1,3) and (2,3)
     amps3 = random_state(rng, 3)
-    model3 = ErrorModel(CouplingLaw(0.7), RegisterLayout(3))
-    got3 = apply_error_step(StateVector(3, amps3), model3, exclude_pair=(1, 2)).amplitudes
+    model3 = ErrorModel(CouplingLaw(0.7), RegisterLayout(3), compensate_active_pair=True)
+    got3 = run(PhysicalCircuit(3, (_identity_pair(1),)), model3, StateVector(3, amps3)).final.amplitudes
     assert np.max(np.abs(got3 - oracle_error_step(amps3, 3, model3, skip=(1, 2)))) < 1e-14
 
 
@@ -216,16 +225,14 @@ def test_phase_additivity():
     rng = np.random.default_rng(25)
     amps = random_state(rng, 3)
     layout = RegisterLayout(3)
-    stepped = StateVector(3, amps)
-    for _ in range(7):
-        stepped = apply_error_step(stepped, ErrorModel(CouplingLaw(0.11), layout))
-    once = apply_error_step(StateVector(3, amps), ErrorModel(CouplingLaw(7 * 0.11), layout))
-    assert np.max(np.abs(stepped.amplitudes - once.amplitudes)) < 1e-12
+    stepped = run(PhysicalCircuit(3, (WaitGate(7),)), ErrorModel(CouplingLaw(0.11), layout), StateVector(3, amps))
+    once = run(_one_step(3), ErrorModel(CouplingLaw(7 * 0.11), layout), StateVector(3, amps))
+    assert np.max(np.abs(stepped.final.amplitudes - once.final.amplitudes)) < 1e-12
 
 
 def test_error_step_layout_mismatch():
     with pytest.raises(ValueError):
-        apply_error_step(StateVector.zero(2), ErrorModel(CouplingLaw(0.1), RegisterLayout(3)))
+        run(_one_step(2), ErrorModel(CouplingLaw(0.1), RegisterLayout(3)), StateVector.zero(2))
 
 
 # --- serial schedule ----------------------------------------------------------
@@ -288,6 +295,38 @@ def test_compressed_matches_full_on_compiled_circuits():
         extracted = extract_logical_state(full.final, m)
         assert states_close(extracted.amplitudes, compressed.amplitudes, 1e-12), f"trial {trial}"
         assert full.spacer_check is not None and all(full.spacer_check)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("compensate", [False, True])
+def test_compressed_fuzz_against_oracle(m, compensate):
+    # the Kronecker oracle evolves the whole encoded register; the compressed engine never builds it
+    rng = np.random.default_rng([34, m, int(compensate)])
+    for trial in range(8):
+        n_logical = int(rng.integers(1, 4))
+        logical = random_logical_circuit(rng, n_logical, int(rng.integers(0, 7)))
+        logical = LogicalCircuit(n_logical, (WaitGate(0), *logical.gates, WaitGate(0)))
+        physical, _ = compile_circuit(logical, EncodingParams(m))
+        model = ErrorModel(
+            CouplingLaw(float(rng.choice([0.0, 0.05, 0.2]))),
+            RegisterLayout(physical.n_sites),
+            compensate_active_pair=compensate,
+        )
+        init_logical = StateVector(n_logical, random_state(rng, n_logical))
+        want = oracle_run(physical, model, encode_logical_state(init_logical, m).amplitudes)
+        want = extract_logical_state(StateVector(physical.n_sites, want), m).amplitudes
+        got = run_compressed(physical, model, EncodingParams(m), init_logical).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12, f"trial {trial}"
+
+
+def test_spacer_verdict_follows_a_swapped_spacer():
+    # the swap moves data qubit 1 onto site 2 and its spacer onto site 1
+    model = ErrorModel(CouplingLaw(0.1), RegisterLayout(4))
+    x = GATES_1Q["x"]
+    on_data = run(PhysicalCircuit(4, (SwapGate(1), Gate1Q(2, x, "x"))), model, StateVector.zero(4), EncodingParams(2))
+    assert on_data.spacer_check == (True, True)
+    on_spacer = run(PhysicalCircuit(4, (SwapGate(1), Gate1Q(1, x, "x"))), model, StateVector.zero(4), EncodingParams(2))
+    assert on_spacer.spacer_check == (True, False)
 
 
 def test_spacer_verdict_fails_when_a_spacer_is_excited():
