@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .circuits import Gate, Gate1Q, Gate2Q, LogicalCircuit, PhysicalCircuit, SwapGate, WaitGate
+from .circuits import Gate, Gate1Q, Gate2Q, LogicalCircuit, PhysicalCircuit, SwapGate, WaitGate, _index
 from .errors import UnsupportedGateError
 
 
@@ -29,8 +29,10 @@ class EncodingParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 1:
+        m = _index(self.m, "m must be a positive integer")
+        if m < 1:
             raise ValueError("m must be a positive integer")
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,14 @@ capped at MAX_QUBITS) and returns the state in site order;
 ``run_compressed`` tracks only the L data qubits of a spacer-encoded
 register, i.e. its 2^L logical amplitudes.
 
+Error steps and swaps are diagonal, so the engine does not apply them one
+by one.  It keeps one pending sum of the steps' coefficients (a, b): a
+swap or an error step adds one step's worth, a wait of T steps adds T
+times it, in O(n^2) work whatever T is.  The pending phase is applied,
+as one 2^n fill, one exp and one multiply, just before the next one- or
+two-qubit gate and at the end of the circuit.  A run therefore costs
+O(2^n) per non-diagonal gate, not per step.
+
 Site 1 maps to the most significant bit of the amplitude index, so
 ``int(bits, 2)`` is the index of basis state ``bits``.
 """
@@ -122,8 +130,13 @@ class RunResult:
 
 
 def _apply_1q(amps: np.ndarray, n: int, axis: int, u: np.ndarray) -> np.ndarray:
-    t = np.moveaxis(amps.reshape((2,) * n), axis - 1, -1)
-    return np.moveaxis(t @ u.T, -1, axis - 1).reshape(-1)
+    # row r of u applied to the two slices of a (2^(axis-1), 2, 2^(n-axis)) view, one slice at a time
+    t = amps.reshape(1 << (axis - 1), 2, -1)
+    out = np.empty_like(t)
+    for r in range(2):
+        np.multiply(t[:, 0], u[r, 0], out=out[:, r])
+        out[:, r] += u[r, 1] * t[:, 1]
+    return out.reshape(-1)
 
 
 def _apply_pair(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray) -> np.ndarray:
@@ -134,24 +147,20 @@ def _apply_pair(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray) -> np
     return np.moveaxis(t, (-2, -1), (qa - 1, qb - 1)).reshape(-1)
 
 
-def _phases(model: ErrorModel, contents: list[int], n: int, exclude: tuple[int, int] | None) -> np.ndarray:
-    """Error phase of one step for every basis index of the n tracked contents.
+def _coefficients(
+    by_distance: np.ndarray, contents: list[int], n: int, exclude: tuple[int, int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of one error step over the n tracked contents: ``(pair, spacer_rate)``.
 
-    ``contents[s]`` is the amplitude axis (1..n) of the content on site s,
-    or 0 for an untracked spacer held in |0>; entry 0 is unused.  The
-    coupling of the site pair ``exclude`` is left out.
-
-    The phase is the quadratic form sum_k a_k x_k + sum_{k<l} b_kl x_k x_l
-    with b_kl = -2 J_kl and a_k = sum_l J_kl + r_k, where r_k couples
-    content k to the untracked sites.  It is summed as
-    sum_{k<l} J_kl [x_k != x_l], filled in by doubling in O(2^n), and then
-    r_k x_k for k = 1..n in turn: pairs first, spacer rates last.  The
-    order matters because near Q = 1 the dispersion sqrt(-ln Q) turns the
-    last bits of Q into printed digits.
+    ``by_distance[d]`` is the coupling of two sites d apart.  ``contents[s]``
+    is the amplitude axis (1..n) of the content on site s, or 0 for an
+    untracked spacer held in |0>; entry 0 is unused.  The coupling of the
+    site pair ``exclude`` is left out.  ``pair[k, l]`` is J_kl between
+    contents k + 1 and l + 1, and ``spacer_rate[k]`` is r_k, the coupling
+    of content k + 1 to the untracked sites.  Costs O(n_sites * n); the
+    phase is linear in both parts, so the coefficients of several steps add.
     """
     n_sites = len(contents) - 1
-    law, spacing = model.law, model.layout.spacing
-    by_distance = np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, n_sites)])
     sites = np.zeros(n, dtype=np.int64)
     for s in range(1, n_sites + 1):
         if contents[s]:
@@ -164,9 +173,21 @@ def _phases(model: ErrorModel, contents: list[int], n: int, exclude: tuple[int, 
             coupling[i - 1, contents[j] - 1] = 0.0
         if contents[i]:
             coupling[j - 1, contents[i] - 1] = 0.0
-    pair = coupling[sites - 1]
     untracked = [s - 1 for s in range(1, n_sites + 1) if not contents[s]]
     spacer_rate = np.cumsum(coupling[untracked], axis=0)[-1] if untracked else np.zeros(n)  # in site order
+    return coupling[sites - 1], spacer_rate
+
+
+def _phases(pair: np.ndarray, spacer_rate: np.ndarray, n: int) -> np.ndarray:
+    """Phase of the ``_coefficients`` pair for every basis index of the n tracked contents.
+
+    The phase is the quadratic form sum_k a_k x_k + sum_{k<l} b_kl x_k x_l
+    with b_kl = -2 J_kl and a_k = sum_l J_kl + r_k.  It is summed as
+    sum_{k<l} J_kl [x_k != x_l], filled in by doubling in O(2^n), and then
+    r_k x_k for k = 1..n in turn: pairs first, spacer rates last.  The
+    order matters because near Q = 1 the dispersion sqrt(-ln Q) turns the
+    last bits of Q into printed digits.
+    """
     phi = np.zeros(1 << n)
     size = 1
     for k in range(n - 1, -1, -1):  # axis k + 1, from the least significant bit up
@@ -191,17 +212,25 @@ def _evolve(
     contents: list[int],
     amps: np.ndarray,
     n: int,
-    on_step: Callable[[np.ndarray], None] | None,
+    on_gate: Callable[[np.ndarray, int], None] | None,
 ) -> np.ndarray:
     """Serial schedule on the amplitudes of the tracked contents; ``contents`` is updated in place.
 
     A swap only exchanges two entries of ``contents``.  Every gate, and every
-    step of a wait, is followed by one error step, after which ``on_step``
-    sees the amplitudes.
+    step of a wait, is followed by one error step.  Error steps are diagonal,
+    so they are summed as coefficients and applied together just before the
+    next one- or two-qubit gate and at the end.  After each gate ``on_gate``
+    sees the amplitudes and the gate's step count; pending phases do not
+    change any probability.
     """
-    phi_key, phi = None, None  # (layout, excluded pair) of the last phase vector, and that vector
+    law, spacing = model.law, model.layout.spacing
+    by_distance = np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, len(contents) - 1)])
+    coef_key, coef = None, None  # (layout, excluded pair) of the last step, and its coefficients
+    pending = None  # (pair, spacer_rate) summed over the error steps not yet applied
     for gate in circuit.gates:
-        pair = None
+        pair, steps = None, 1
+        if isinstance(gate, (Gate1Q, Gate2Q)) and pending is not None:
+            amps, pending = amps * np.exp(-1j * _phases(*pending, n)), None
         if isinstance(gate, Gate1Q):
             k = contents[gate.qubit]
             if not k:
@@ -217,16 +246,20 @@ def _evolve(
             s = gate.site
             pair = (s, s + 1)
             contents[s], contents[s + 1] = contents[s + 1], contents[s]
-        elif not isinstance(gate, WaitGate):
+        elif isinstance(gate, WaitGate):
+            steps = gate.steps
+        else:
             raise UnsupportedGateError(f"cannot run {gate!r}")
-        exclude = pair if model.compensate_active_pair else None
-        key = (tuple(contents), exclude)
-        if key != phi_key:
-            phi_key, phi = key, _phases(model, contents, n, exclude)
-        for _ in range(gate.steps if isinstance(gate, WaitGate) else 1):
-            amps = amps * np.exp(-1j * phi)
-            if on_step is not None:
-                on_step(amps)
+        if steps:
+            key = (tuple(contents), pair if model.compensate_active_pair else None)
+            if key != coef_key:
+                coef_key, coef = key, _coefficients(by_distance, contents, n, key[1])
+            step = coef if steps == 1 else (steps * coef[0], steps * coef[1])
+            pending = step if pending is None else (pending[0] + step[0], pending[1] + step[1])
+        if on_gate is not None:
+            on_gate(amps, steps)
+    if pending is not None:
+        amps = amps * np.exp(-1j * _phases(*pending, n))
     return amps
 
 
@@ -281,17 +314,20 @@ def run(
         raise ValueError("initial state size does not match the circuit")
 
     verdicts: list[bool] = []
-    on_step = None
+    on_gate = None
     if encoding is not None:
         m = encoding.m
         # content c starts on site c, so the spacer contents are all 0 exactly on the home-layout data indices
         clean = _encoded_indices(_n_logical(n, m), m) if m > 1 else None
 
-        def on_step(amps: np.ndarray) -> None:
-            verdicts.append(clean is None or 1.0 - float(np.sum(np.abs(amps[clean]) ** 2)) <= SPACER_TOL)
+        def on_gate(amps: np.ndarray, steps: int) -> None:
+            # a diagonal step moves no probability and a swap only relabels, so one verdict holds for all steps
+            if steps:
+                ok = clean is None or 1.0 - float(np.sum(np.abs(amps[clean]) ** 2)) <= SPACER_TOL
+                verdicts.extend([ok] * steps)
 
     contents = list(range(n + 1))
-    amps = _evolve(circuit, model, contents, initial.amplitudes.copy(), n, on_step)
+    amps = _evolve(circuit, model, contents, initial.amplitudes.copy(), n, on_gate)
     final = np.transpose(amps.reshape((2,) * n), [c - 1 for c in contents[1:]]).reshape(-1)
     return RunResult(StateVector(n, final), circuit.step_count, tuple(verdicts) if encoding is not None else None)
 

@@ -1,6 +1,8 @@
 """Command-line interface tests: contracts, formats and exit codes."""
 
 import json
+import math
+import time
 
 import pytest
 
@@ -152,6 +154,47 @@ def test_sweep_csv_is_byte_identical_across_invocations(capsys):
     assert lines[0] == "m,L,P,delta,Q,sigma_est"
     assert len(lines) == 5
     assert lines[1].startswith("1,3,40,7.00000000000e-03,")
+
+
+def test_readme_sweep_prints_the_closed_form_digits(capsys):
+    # Q = |2^-3 sum_x exp(-i T phi_dd(x))|^2 with T = (2m - 1) 40 and sigma = sqrt(-ln Q), both
+    # evaluated to 40 digits and rounded to the 12 printed; near Q = 1 an error of a few ulps in Q
+    # already moves the last digit of sigma_est
+    assert main(["sweep", "--m", "1:6", "--L", "3", "--P", "40", "--delta", "0.007"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "m,L,P,delta,Q,sigma_est",
+        "1,3,40,7.00000000000e-03,9.61140314848e-01,1.99085085988e-01",
+        "2,3,40,7.00000000000e-03,9.94457317109e-01,7.45526696670e-02",
+        "3,3,40,7.00000000000e-03,9.98645957236e-01,3.68097854959e-02",
+        "4,3,40,7.00000000000e-03,9.99527484394e-01,2.17399925654e-02",
+        "5,3,40,7.00000000000e-03,9.99795217129e-01,1.43109692818e-02",
+        "6,3,40,7.00000000000e-03,9.99897546906e-01,1.01221708518e-02",
+    ]
+
+
+def test_a_billion_step_wait_runs_in_constant_time(tmp_path, capsys):
+    # h, wait, h on one data qubit next to its spacer: |1> gains delta per step over the
+    # 10^9 + 1 steps between the Hadamards, so Q(0) = cos^2((10^9 + 1) delta / 2)
+    p = tmp_path / "idle.json"
+    gates = [{"op": "1q", "target": 1, "name": "h"}, {"op": "wait", "steps": 10**9}, {"op": "1q", "target": 1, "name": "h"}]
+    p.write_text(json.dumps({"qubits": 1, "gates": gates}))
+    start = time.perf_counter()
+    assert main(["run", "--input", str(p), "--m", "2", "--delta", "0.0123", "--engine", "compressed",
+                 "--solutions", "0", "--format", "json"]) == 0
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["steps"] == 10**9 + 2
+    assert abs(doc["Q"] - math.cos((10**9 + 1) * 0.0123 / 2) ** 2) < 1e-6
+    assert elapsed < 1.0
+
+
+def test_a_wait_beyond_float_range_exits_1(tmp_path, capsys):
+    # a fused wait scales the step's coefficients by its length, which has to fit a float
+    p = tmp_path / "endless.json"
+    p.write_text(json.dumps({"qubits": 1, "gates": [{"op": "1q", "target": 1, "name": "h"}, {"op": "wait", "steps": 10**400}]}))
+    for engine in ("full", "compressed"):
+        assert main(["run", "--input", str(p), "--m", "2", "--delta", "0.01", "--engine", engine]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_json_includes_fit_for_single_axis(capsys):

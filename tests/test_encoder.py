@@ -169,3 +169,21 @@ def test_encoding_params_validation():
         EncodingParams(0)
     with pytest.raises(ValueError):
         EncodingParams(-2)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, True, False, "2", None, 2 + 0j])
+def test_encoding_params_reject_booleans_and_non_integers(m):
+    # the circuit constructors' rule: what operator.index takes, booleans excepted
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        EncodingParams(m)
+
+
+def test_encoding_params_store_a_plain_int():
+    import numpy as np
+
+    params = EncodingParams(np.int64(3))
+    assert type(params.m) is int and params.m == 3
+    assert params == EncodingParams(3)
+    bell = LogicalCircuit(2, (Gate1Q(1, GATES_1Q["h"], "h"), Gate2Q(1, GATES_2Q["cnot"], "cnot")))
+    physical, report = compile_circuit(bell, params)
+    assert physical.n_sites == 6 and report.p_prime == 6

@@ -7,9 +7,12 @@ and `run_compressed`, to it.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_logical_circuit, random_state, random_unitary
 from spacerq.circuits import GATES_1Q, GATES_2Q, Gate1Q, Gate2Q, PhysicalCircuit, SwapGate, WaitGate, LogicalCircuit
@@ -72,13 +75,37 @@ def oracle_error_step(amps: np.ndarray, n: int, model: ErrorModel, skip=None) ->
     return out
 
 
-def oracle_run(circuit: PhysicalCircuit, model: ErrorModel, amps: np.ndarray) -> np.ndarray:
+def oracle_run(
+    circuit: PhysicalCircuit, model: ErrorModel, amps: np.ndarray, m: int = 1, verdicts: list | None = None
+) -> np.ndarray:
+    """Site-order evolution with one explicit error step after every gate and every wait step.
+
+    With a list ``verdicts``, appends after every error step whether all
+    sites holding a spacer of the m-fold encoding read |0> (within 1e-12);
+    the spacers start on every site but (k - 1) m + 1 and move with swaps.
+    """
     n = circuit.n_sites
     amps = amps.copy()
+    phasors = {}  # by excluded pair: in site order the error step depends on nothing else
+    masks = {}  # by spacer sites: basis states with every spacer in |0>
+    spacers = [(s - 1) % m != 0 for s in range(1, n + 1)]
+
+    def error_step(amps: np.ndarray, skip) -> np.ndarray:
+        if skip not in phasors:
+            phasors[skip] = oracle_error_step(np.ones(1 << n, dtype=complex), n, model, skip)
+        amps = amps * phasors[skip]
+        if verdicts is not None:
+            key = tuple(spacers)
+            if key not in masks:
+                bits = [format(i, f"0{n}b") for i in range(1 << n)]
+                masks[key] = np.array([all(b == "0" for b, sp in zip(bs, key) if sp) for bs in bits])
+            verdicts.append(1.0 - float(np.sum(np.abs(amps[masks[key]]) ** 2)) <= 1e-12)
+        return amps
+
     for gate in circuit.gates:
         if isinstance(gate, WaitGate):
             for _ in range(gate.steps):
-                amps = oracle_error_step(amps, n, model)
+                amps = error_step(amps, None)
             continue
         if isinstance(gate, Gate1Q):
             amps = kron_embed(gate.matrix, gate.qubit, n) @ amps
@@ -89,7 +116,8 @@ def oracle_run(circuit: PhysicalCircuit, model: ErrorModel, amps: np.ndarray) ->
         else:
             amps = kron_embed(GATES_2Q["swap"], gate.site, n) @ amps
             skip = (gate.site, gate.site + 1)
-        amps = oracle_error_step(amps, n, model, skip if model.compensate_active_pair else None)
+            spacers[gate.site - 1], spacers[gate.site] = spacers[gate.site], spacers[gate.site - 1]
+        amps = error_step(amps, skip if model.compensate_active_pair else None)
     return amps
 
 
@@ -317,6 +345,77 @@ def test_compressed_fuzz_against_oracle(m, compensate):
         want = extract_logical_state(StateVector(physical.n_sites, want), m).amplitudes
         got = run_compressed(physical, model, EncodingParams(m), init_logical).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12, f"trial {trial}"
+
+
+_MATRIX = st.none() | st.integers(0, 2**16)  # h or cnot, or the seed of a random unitary
+
+
+def _matrix(seed: int | None, dim: int) -> np.ndarray:
+    if seed is None:
+        return GATES_1Q["h"] if dim == 2 else GATES_2Q["cnot"]
+    return random_unitary(np.random.default_rng(seed), dim)
+
+
+@st.composite
+def _encoded_runs(draw):
+    """A compiled random circuit with waits of 0..300 steps, sometimes kicked by a one-qubit gate at the physical level."""
+    m = draw(st.integers(1, 4))
+    n_logical = draw(st.integers(1, min(3, 9 // m)))
+    kinds = ["wait", "1q", "2q"] if n_logical > 1 else ["wait", "1q"]
+    gates = []
+    for kind, target, seed, steps in draw(
+        st.lists(st.tuples(st.sampled_from(kinds), st.integers(1, 3), _MATRIX, st.integers(0, 300)), max_size=6)
+    ):
+        if kind == "wait":
+            gates.append(WaitGate(steps))
+        elif kind == "1q":
+            gates.append(Gate1Q(min(target, n_logical), _matrix(seed, 2)))
+        else:
+            gates.append(Gate2Q(min(target, n_logical - 1), _matrix(seed, 4)))
+    physical, _ = compile_circuit(LogicalCircuit(n_logical, tuple(gates)), EncodingParams(m))
+    kick = draw(st.none() | st.tuples(st.integers(0, len(physical.gates)), st.integers(1, physical.n_sites), _MATRIX))
+    if kick is not None:
+        at, site, seed = kick
+        gates = (*physical.gates[:at], Gate1Q(site, _matrix(seed, 2)), *physical.gates[at:])
+        physical = PhysicalCircuit(physical.n_sites, gates)
+    model = ErrorModel(
+        CouplingLaw(draw(st.sampled_from([0.0, 0.01, 0.05, 0.2]))),
+        RegisterLayout(physical.n_sites),
+        compensate_active_pair=draw(st.booleans()),
+    )
+    init = StateVector(n_logical, random_state(np.random.default_rng(draw(st.integers(0, 2**16))), n_logical))
+    return m, physical, model, init, kick is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_encoded_runs())
+def test_fused_engine_matches_the_stepwise_oracle(case):
+    # the oracle applies every error step on its own; the engine sums diagonal steps and applies them at once
+    m, physical, model, init, kicked = case
+    encoded = encode_logical_state(init, m)
+    verdicts = []
+    want = oracle_run(physical, model, encoded.amplitudes, m, verdicts)
+    result = run(physical, model, encoded, EncodingParams(m))
+    assert np.max(np.abs(result.final.amplitudes - want)) < 1e-12
+    assert result.spacer_check == tuple(verdicts)
+    if not kicked:
+        want_logical = extract_logical_state(StateVector(physical.n_sites, want), m).amplitudes
+        got = run_compressed(physical, model, EncodingParams(m), init).amplitudes
+        assert np.max(np.abs(got - want_logical)) < 1e-12
+
+
+def test_a_billion_step_wait_runs_in_constant_time():
+    # h, wait, h on a data qubit with its spacer in |0>, no encoding given: |1> gains delta per step
+    # over the 10^9 + 1 steps between the Hadamards, so Q(00) = cos^2((10^9 + 1) delta / 2)
+    logical = LogicalCircuit(1, (Gate1Q(1, GATES_1Q["h"], "h"), WaitGate(10**9), Gate1Q(1, GATES_1Q["h"], "h")))
+    physical, _ = compile_circuit(logical, EncodingParams(2))
+    model = ErrorModel(CouplingLaw(0.0123), RegisterLayout(2))
+    start = time.perf_counter()
+    result = run(physical, model)
+    elapsed = time.perf_counter() - start
+    assert result.steps_executed == 10**9 + 2 and result.spacer_check is None
+    assert abs(result.final.probability("00") - math.cos((10**9 + 1) * 0.0123 / 2) ** 2) < 1e-6
+    assert elapsed < 1.0
 
 
 def test_spacer_verdict_follows_a_swapped_spacer():
