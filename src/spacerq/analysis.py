@@ -39,8 +39,6 @@ from .simulator import (
     run_compressed,
 )
 
-_Q_SATURATION = 1.0 - 1e-12  # above this, sigma is numerically zero
-
 
 def sigma_from_quality(q: float) -> float:
     """Dispersion estimate sigma = sqrt(-ln Q); Q = exp(-sigma^2) inverted."""
@@ -51,6 +49,11 @@ def sigma_from_quality(q: float) -> float:
     if q <= 0.0:
         raise ValueError(f"quality {q} must be positive to estimate a dispersion")
     return math.sqrt(-math.log(q))
+
+
+def sigma_estimate(q: float) -> float:
+    """The ``sigma_est`` a benchmark reports for quality ``q``: 0 within 1e-12 of Q = 1, else sqrt(-ln Q)."""
+    return 0.0 if q >= 1.0 - 1e-12 else sigma_from_quality(q)
 
 
 def quality_from_sigma(sigma: float) -> float:
@@ -94,6 +97,8 @@ def resource_table(n_logical: float, steps: float, delta: float, m: int = 1) -> 
     smaller for every m > 1.  Both are bounds, not measurements: run_sweep
     measures what a benchmark actually does.
     """
+    if not all(math.isfinite(x) for x in (n_logical, steps, delta)):
+        raise ValueError("L, P and delta must be finite")
     if n_logical < 1 or steps < 0:
         raise ValueError("need n_logical >= 1 and steps >= 0")
     if delta < 0:
@@ -234,8 +239,7 @@ def run_sweep(config: SweepConfig) -> QualityCurve:
                         engine=config.engine,
                         compensate_local_phases=config.compensate_local_phases,
                     )
-                    sigma = 0.0 if q >= _Q_SATURATION else sigma_from_quality(q)
-                    rows.append(QualityRow(m, n_logical, steps, delta, q, sigma))
+                    rows.append(QualityRow(m, n_logical, steps, delta, q, sigma_estimate(q)))
     return QualityCurve(config, tuple(rows))
 
 

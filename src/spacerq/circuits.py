@@ -12,6 +12,7 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,52 +71,45 @@ GATES_2Q: dict[str, np.ndarray] = {
 }
 
 
+class _UnitaryGate:
+    """Shared body of ``Gate1Q`` and ``Gate2Q``, which differ only in the matrix size ``_DIM``."""
+
+    _DIM: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        qubit = _index(self.qubit, "qubit index must be an integer")
+        if qubit < 1:
+            raise ValueError("qubit index must be >= 1")
+        object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "matrix", _check_unitary(self.matrix, self._DIM))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.qubit == other.qubit
+            and self.name == other.name
+            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class Gate1Q:
+class Gate1Q(_UnitaryGate):
     """Single-qubit unitary on qubit/site ``qubit``."""
 
     qubit: int
     matrix: np.ndarray
     name: str | None = None
-
-    def __post_init__(self) -> None:
-        qubit = _index(self.qubit, "qubit index must be an integer")
-        if qubit < 1:
-            raise ValueError("qubit index must be >= 1")
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, 2))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gate1Q)
-            and self.qubit == other.qubit
-            and self.name == other.name
-            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
-        )
+    _DIM = 2
 
 
 @dataclass(frozen=True, eq=False)
-class Gate2Q:
+class Gate2Q(_UnitaryGate):
     """Two-qubit unitary on the adjacent pair (qubit, qubit + 1)."""
 
     qubit: int
     matrix: np.ndarray
     name: str | None = None
-
-    def __post_init__(self) -> None:
-        qubit = _index(self.qubit, "qubit index must be an integer")
-        if qubit < 1:
-            raise ValueError("qubit index must be >= 1")
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, 4))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Gate2Q)
-            and self.qubit == other.qubit
-            and self.name == other.name
-            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
-        )
+    _DIM = 4
 
 
 @dataclass(frozen=True)
@@ -147,12 +141,26 @@ class WaitGate:
 Gate = Gate1Q | Gate2Q | SwapGate | WaitGate
 
 
-def _step_count(gates: tuple[Gate, ...]) -> int:
-    return sum(g.steps if isinstance(g, WaitGate) else 1 for g in gates)
+class _Circuit:
+    """Shared body of ``LogicalCircuit`` and ``PhysicalCircuit``: a register size and a gate tuple."""
+
+    gates: tuple[Gate, ...]
+
+    @property
+    def step_count(self) -> int:
+        """Serial step count: one per gate plus one per wait step."""
+        return sum(g.steps if isinstance(g, WaitGate) else 1 for g in self.gates)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and _register_size(self) == _register_size(other)
+            and self.gates == other.gates
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class LogicalCircuit:
+class LogicalCircuit(_Circuit):
     """Gate list over L logical qubits; swaps are not a logical primitive."""
 
     n_qubits: int
@@ -172,21 +180,9 @@ class LogicalCircuit:
             if isinstance(g, Gate2Q) and g.qubit + 1 > self.n_qubits:
                 raise ValueError(f"pair gate at qubit {g.qubit} exceeds register of {self.n_qubits}")
 
-    @property
-    def step_count(self) -> int:
-        """Serial step count: one per gate plus one per wait step."""
-        return _step_count(self.gates)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LogicalCircuit)
-            and self.n_qubits == other.n_qubits
-            and self.gates == other.gates
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class PhysicalCircuit:
+class PhysicalCircuit(_Circuit):
     """Gate list over the physical register; sites are 1-indexed."""
 
     n_sites: int
@@ -205,17 +201,6 @@ class PhysicalCircuit:
                 raise ValueError(f"pair gate at site {g.qubit} exceeds register of {self.n_sites}")
             if isinstance(g, SwapGate) and g.site + 1 > self.n_sites:
                 raise ValueError(f"swap at site {g.site} exceeds register of {self.n_sites}")
-
-    @property
-    def step_count(self) -> int:
-        return _step_count(self.gates)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PhysicalCircuit)
-            and self.n_sites == other.n_sites
-            and self.gates == other.gates
-        )
 
 
 # --- JSON circuit documents ---------------------------------------------
@@ -266,11 +251,6 @@ def _target_pair(entry: dict, i: int) -> int:
             raise CircuitFormatError(f"gate {i}: pair target must be adjacent, got {t}")
         return t[0]
     raise CircuitFormatError(f"gate {i}: target must be an int or an adjacent pair [k, k+1]")
-
-
-def _is_physical(doc) -> bool:
-    gates = doc.get("gates", []) if isinstance(doc, dict) else []
-    return any(isinstance(g, dict) and g.get("op") == "swap" for g in gates)
 
 
 def circuit_from_dict(doc: dict, *, physical: bool = False) -> LogicalCircuit | PhysicalCircuit:
@@ -360,11 +340,15 @@ def loads_circuit(text: str, *, physical: bool | None = False) -> LogicalCircuit
     """Parse a circuit from JSON text, reporting line/column on bad JSON.
 
     ``physical=None`` reads a physical circuit when the document holds bare
-    swaps (see ``document_is_physical``) and a logical one otherwise.
+    swaps and a logical one otherwise.
     """
-    doc = _parse_json(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CircuitFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if physical is None:
-        physical = _is_physical(doc)
+        gates = doc.get("gates", []) if isinstance(doc, dict) else []
+        physical = any(isinstance(g, dict) and g.get("op") == "swap" for g in gates)
     return circuit_from_dict(doc, physical=physical)
 
 
@@ -408,15 +392,3 @@ def dumps_circuit(circuit: LogicalCircuit | PhysicalCircuit) -> str:
     head, tail = json.dumps({"qubits": n, "gates": [None]}, indent=1).split("  null")
     texts: dict = {}
     return head + ",\n".join([_gate_text(g, texts) for g in circuit.gates]) + tail
-
-
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-
-
-def document_is_physical(text: str) -> bool:
-    """True when the JSON text uses physical-only ops (bare swaps)."""
-    return _is_physical(_parse_json(text))

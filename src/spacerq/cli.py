@@ -14,9 +14,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .analysis import (
-    _Q_SATURATION,
     SweepConfig,
     curve_to_csv,
     curve_to_dict,
@@ -29,7 +29,7 @@ from .analysis import (
     resource_table,
     run_sweep,
     sandwich_quality,
-    sigma_from_quality,
+    sigma_estimate,
 )
 from .circuits import LogicalCircuit, dumps_circuit, loads_circuit
 from .encoder import EncodingParams, check_dual_rail, compile_circuit, dual_rail_encode
@@ -101,6 +101,19 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_run_result(args: argparse.Namespace, lines: list[str], document: Callable[[], dict]) -> int:
+    """``run``'s output rule, for ``--input`` and ``--benchmark`` alike.
+
+    ``--format json`` writes the document to --output or stdout; text mode prints ``lines`` and
+    writes the document to --output when one is given.  The document is built only to be written.
+    """
+    if args.format == "json" or args.output:
+        _write_text(args.output, _dump_json(document()))
+    if args.format == "text":
+        print("\n".join(lines))
+    return 0
+
+
 def _benchmark_run(args: argparse.Namespace) -> int:
     if args.L is None or args.P is None:
         raise ValueError("--benchmark needs --L and --P")
@@ -114,9 +127,11 @@ def _benchmark_run(args: argparse.Namespace) -> int:
         engine=args.engine,
         compensate_local_phases=not args.no_compensate_local,
     )
-    sigma = 0.0 if q >= _Q_SATURATION else sigma_from_quality(q)
-    if args.format == "json":
-        doc = {
+    sigma = sigma_estimate(q)
+    return _write_run_result(
+        args,
+        [f"Q = {q:.6f}", f"sigma_est = {format_float(sigma)}"],
+        lambda: {
             "benchmark": args.benchmark,
             "L": args.L,
             "m": args.m,
@@ -126,12 +141,8 @@ def _benchmark_run(args: argparse.Namespace) -> int:
             "delta": args.delta,
             "Q": q,
             "sigma_est": sigma,
-        }
-        _write_text(args.output, _dump_json(doc))
-    else:
-        print(f"Q = {q:.6f}")
-        print(f"sigma_est = {format_float(sigma)}")
-    return 0
+        },
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -158,40 +169,33 @@ def cmd_run(args: argparse.Namespace) -> int:
         final = run_compressed(circuit, model, EncodingParams(m), initial)
         steps = circuit.step_count
         spacers = "clean (enforced by the compressed engine)"
-        spacer_list: list[bool] | None = None
+        spacer_check = None
     else:
         result = run(circuit, model, encode_logical_state(initial, m), EncodingParams(m))
         final = extract_logical_state(result.final, m)
         steps = result.steps_executed
-        spacer_list = list(result.spacer_check or ())
-        spacers = "clean" if all(spacer_list) else "LEAKED"
+        spacer_check = result.spacer_check or ()
+        spacers = "clean" if all(spacer_check) else "LEAKED"
 
-    q = None
-    if args.solutions:
-        q = quality(final, args.solutions.split(","))
+    q = quality(final, args.solutions.split(",")) if args.solutions else None
+    lines = [f"sites = {n}", f"logical qubits = {n_logical}", f"steps = {steps}", f"spacers = {spacers}"]
+    if q is not None:
+        lines.append(f"Q = {q:.6f}")
 
-    doc = {
-        "sites": n,
-        "m": m,
-        "logical_qubits": n_logical,
-        "steps": steps,
-        "spacers_clean": spacer_list if spacer_list is not None else "assumed",
-        "amplitudes": [[a.real, a.imag] for a in final.amplitudes],
-    }
-    if q is not None:
-        doc["Q"] = q
-    if args.format == "json":
-        _write_text(args.output, _dump_json(doc))
-        return 0
-    if args.output:
-        _write_text(args.output, _dump_json(doc))
-    print(f"sites = {n}")
-    print(f"logical qubits = {n_logical}")
-    print(f"steps = {steps}")
-    print(f"spacers = {spacers}")
-    if q is not None:
-        print(f"Q = {q:.6f}")
-    return 0
+    def document() -> dict:
+        doc = {
+            "sites": n,
+            "m": m,
+            "logical_qubits": n_logical,
+            "steps": steps,
+            "spacers_clean": list(spacer_check) if spacer_check is not None else "assumed",
+            "amplitudes": [[a.real, a.imag] for a in final.amplitudes],
+        }
+        if q is not None:
+            doc["Q"] = q
+        return doc
+
+    return _write_run_result(args, lines, document)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -142,12 +142,3 @@ def spacer_sites(n_sites: int, m: int) -> list[int]:
     if m < 1 or n_sites % m != 0:
         raise ValueError("register size must be a multiple of m")
     return [s for s in range(1, n_sites + 1) if (s - 1) % m != 0]
-
-
-def check_spacer_sites(bits: str, params: EncodingParams) -> bool:
-    """True iff every home spacer site of the encoded string holds '0'."""
-    if any(c not in "01" for c in bits):
-        raise ValueError("bits must contain only '0' and '1'")
-    if len(bits) % params.m != 0:
-        raise ValueError(f"length {len(bits)} is not a multiple of m={params.m}")
-    return all(bits[s - 1] == "0" for s in spacer_sites(len(bits), params.m))

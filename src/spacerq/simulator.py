@@ -71,14 +71,16 @@ class StateVector:
 
     @classmethod
     def zero(cls, n: int) -> StateVector:
+        if n > MAX_QUBITS:  # refuse before building an n-character string
+            raise CapacityError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
         return cls.from_bits("0" * n)
 
     @classmethod
     def from_bits(cls, bits: str) -> StateVector:
+        if len(bits) > MAX_QUBITS:  # refuse before scanning the bits or allocating 2^n amplitudes
+            raise CapacityError(f"{len(bits)} qubits exceeds the dense cap of {MAX_QUBITS}")
         if not bits or any(c not in "01" for c in bits):
             raise ValueError("bits must be a non-empty string over '0'/'1'")
-        if len(bits) > MAX_QUBITS:  # refuse before allocating 2^n amplitudes
-            raise CapacityError(f"{len(bits)} qubits exceeds the dense cap of {MAX_QUBITS}")
         amps = np.zeros(1 << len(bits), dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(len(bits), amps)

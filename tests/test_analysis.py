@@ -22,6 +22,7 @@ from spacerq.analysis import (
     resource_table,
     run_sweep,
     sandwich_quality,
+    sigma_estimate,
     sigma_from_quality,
     spacer_phase_rate,
 )
@@ -44,6 +45,9 @@ def test_sigma_quality_inversion():
         sigma_from_quality(0.0)
     with pytest.raises(ValueError):
         quality_from_sigma(-1.0)
+    # the reported sigma_est is sqrt(-ln Q) until Q is within 1e-12 of 1, then exactly 0
+    assert sigma_estimate(math.exp(-0.04)) == sigma_from_quality(math.exp(-0.04))
+    assert sigma_estimate(1.0 - 1e-13) == 0.0
 
 
 def test_predicted_sigma_product_form():

@@ -20,7 +20,6 @@ from spacerq.circuits import (
     WaitGate,
     circuit_from_dict,
     circuit_to_dict,
-    document_is_physical,
     dumps_circuit,
     loads_circuit,
 )
@@ -88,8 +87,23 @@ def test_physical_round_trip_with_swaps():
     original = PhysicalCircuit(4, (SwapGate(2), Gate2Q(2, GATES_2Q["cnot"], "cnot"), SwapGate(2)))
     again = loads_circuit(dumps_circuit(original), physical=True)
     assert again == original
-    assert document_is_physical(dumps_circuit(original))
-    assert not document_is_physical(BELL_TEXT)
+    assert isinstance(loads_circuit(dumps_circuit(original), physical=None), PhysicalCircuit)
+    assert isinstance(loads_circuit(BELL_TEXT, physical=None), LogicalCircuit)
+
+
+def test_twin_classes_compare_only_within_their_own_type():
+    def twins():
+        return (Gate1Q(1, np.eye(2)), Gate2Q(1, np.eye(4))), (LogicalCircuit(2, ()), PhysicalCircuit(2, ()))
+
+    for (a, b), (a2, b2) in zip(twins(), twins()):
+        assert a != b and b != a
+        assert a == a2 and b == b2
+        for x in (a, b):
+            assert repr(x).startswith(type(x).__name__ + "(")
+            with pytest.raises(TypeError):
+                hash(x)
+    assert LogicalCircuit(2, (WaitGate(1),)) != LogicalCircuit(2, ())
+    assert Gate1Q(1, np.eye(2)) != Gate1Q(1, np.eye(2), "i")
 
 
 def test_bad_json_reports_line_and_column():

@@ -94,6 +94,16 @@ def test_capacity_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_huge_register_exits_4_before_building_anything(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"qubits": 10**9, "gates": []}))
+    for engine in ("full", "compressed"):
+        start = time.perf_counter()
+        assert main(["run", "--input", str(p), "--engine", engine]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: 1000000000 qubits exceeds the dense cap of 24\n"
+
+
 def test_missing_input_file_exits_1(capsys):
     assert main(["run", "--input", "/nonexistent/c.json"]) == 1
     capsys.readouterr()
@@ -136,6 +146,39 @@ def test_benchmark_sandwich_prints_sealed_quality(capsys):
     # cos(10 * 0.01 / 2)^2 = 0.997502...
     assert "Q = 0.997502" in out
     assert "sigma_est = " in out
+
+
+@pytest.mark.parametrize("sandwich", [False, True])
+def test_run_writes_its_document_by_one_rule(sandwich, bell_path, tmp_path, capsys):
+    # --format json writes the document to --output or stdout; text mode prints the text and
+    # writes the document only to a given --output
+    source = ["--benchmark", "sandwich", "--L", "2", "--P", "10"] if sandwich else ["--input", bell_path]
+    args = ["run", *source, "--m", "2", "--delta", "0.01", "--solutions", "00,11"]
+    assert main(args + ["--format", "json"]) == 0
+    document = capsys.readouterr().out
+    assert "Q" in json.loads(document)
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(("sites = 4\n", "Q = "))
+    out = tmp_path / "out.json"
+    assert main(args + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == text
+    assert out.read_text() == document
+    out.unlink()
+    assert main(args + ["--format", "json", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == document
+
+
+def test_estimate_rejects_non_finite_input_with_exit_1(capsys):
+    finite = {"--L": "16", "--P": "100", "--delta": "0.01"}
+    for flag in finite:
+        for value in ("nan", "inf"):
+            argv = [x for key, v in {**finite, flag: value}.items() for x in (key, v)]
+            assert main(["estimate", *argv, "--format", "json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: L, P and delta must be finite\n"
 
 
 def test_benchmark_requires_l_and_p(capsys):

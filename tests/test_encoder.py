@@ -8,7 +8,6 @@ from spacerq.circuits import GATES_1Q, GATES_2Q, Gate1Q, Gate2Q, SwapGate, WaitG
 from spacerq.encoder import (
     EncodingParams,
     check_dual_rail,
-    check_spacer_sites,
     compile_circuit,
     compile_two_qubit,
     data_position,
@@ -158,10 +157,6 @@ def test_spacer_site_listing_and_check():
     assert spacer_sites(6, 2) == [2, 4, 6]
     assert spacer_sites(6, 3) == [2, 3, 5, 6]
     assert spacer_sites(3, 1) == []
-    assert check_spacer_sites("100010", EncodingParams(2))
-    assert not check_spacer_sites("110000", EncodingParams(2))
-    with pytest.raises(ValueError):
-        check_spacer_sites("10001", EncodingParams(2))  # length not a multiple of m
 
 
 def test_encoding_params_validation():

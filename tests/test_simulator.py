@@ -145,6 +145,8 @@ def test_statevector_validation():
     with pytest.raises(CapacityError):
         StateVector.from_bits("0" * (MAX_QUBITS + 1))
     with pytest.raises(CapacityError):
+        StateVector.zero(10**9)  # refused before a billion-character string is built
+    with pytest.raises(CapacityError):
         StateVector.uniform(MAX_QUBITS + 1)
 
 
