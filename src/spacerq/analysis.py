@@ -21,7 +21,7 @@ reports record one alongside the rest of the provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,7 +66,8 @@ def critical_register_size(delta: float) -> float:
     """Register size at which one step dephases O(1): L_crit = 1 / delta^2."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    return 1.0 / (delta * delta)
+    square = delta * delta
+    return 1.0 / square if square > 0.0 else math.inf  # delta^2 underflows: L_crit overflows a float
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def resource_table(n_logical: float, steps: float, delta: float, m: int = 1) -> 
         raise ValueError("m must be a positive integer")
     p_sqrt_l = steps * math.sqrt(n_logical)
     sigma = p_sqrt_l * delta
-    return ResourceEstimate(
+    est = ResourceEstimate(
         m=m,
         n_logical=n_logical,
         steps=steps,
@@ -121,6 +122,10 @@ def resource_table(n_logical: float, steps: float, delta: float, m: int = 1) -> 
         critical_l=critical_register_size(delta) if delta > 0 else math.inf,
         critical_l_prime=critical_register_size(delta / m**3) if delta > 0 else math.inf,
     )
+    for field in fields(est):  # only delta = 0 has infinite critical sizes, by definition
+        if not math.isfinite(getattr(est, field.name)) and not (delta == 0 and field.name.startswith("critical_l")):
+            raise ValueError(f"{field.name} overflows a float for these inputs")
+    return est
 
 
 # --- idle benchmark ---------------------------------------------------------

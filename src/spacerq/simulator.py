@@ -23,10 +23,13 @@ register, i.e. its 2^L logical amplitudes.
 Error steps and swaps are diagonal, so the engine does not apply them one
 by one.  It keeps one pending sum of the steps' coefficients (a, b): a
 swap or an error step adds one step's worth, a wait of T steps adds T
-times it, in O(n^2) work whatever T is.  The pending phase is applied,
-as one 2^n fill, one exp and one multiply, just before the next one- or
-two-qubit gate and at the end of the circuit.  A run therefore costs
-O(2^n) per non-diagonal gate, not per step.
+times it, in O(n^2) work whatever T is.  The pending phase is applied
+just before the next one- or two-qubit gate and at the end of the
+circuit: the quadratic form's exponential factorises, so its 2^n phasors
+are filled by multiplicative doubling from O(n^2) scalar exps, about
+2 * 2^n complex multiplies with no per-amplitude exp, and multiplied into
+the state in place.  A run therefore costs O(2^n) per non-diagonal gate,
+not per step.
 
 Site 1 maps to the most significant bit of the amplitude index, so
 ``int(bits, 2)`` is the index of basis state ``bits``.
@@ -131,22 +134,21 @@ class RunResult:
 # --- engine ---------------------------------------------------------------
 
 
-def _apply_1q(amps: np.ndarray, n: int, axis: int, u: np.ndarray) -> np.ndarray:
-    # row r of u applied to the two slices of a (2^(axis-1), 2, 2^(n-axis)) view, one slice at a time
+def _apply_1q(amps: np.ndarray, n: int, axis: int, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # row r of u applied to the two slices of a (2^(axis-1), 2, 2^(n-axis)) view, one slice at a time, into out
     t = amps.reshape(1 << (axis - 1), 2, -1)
-    out = np.empty_like(t)
+    o = out.reshape(t.shape)
     for r in range(2):
-        np.multiply(t[:, 0], u[r, 0], out=out[:, r])
-        out[:, r] += u[r, 1] * t[:, 1]
-    return out.reshape(-1)
+        np.multiply(t[:, 0], u[r, 0], out=o[:, r])
+        o[:, r] += u[r, 1] * t[:, 1]
+    return out
 
 
-def _apply_pair(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray) -> np.ndarray:
-    # u acts on axes (qa, qb) in that slot order; qa need not be < qb
+def _apply_pair(amps: np.ndarray, n: int, qa: int, qb: int, u: np.ndarray, scratch: np.ndarray) -> None:
+    # u acts on axes (qa, qb) in that slot order; qa need not be < qb.  The matmul needs those axes
+    # last, so it writes into scratch and the result is moved back into amps in place.
     t = np.moveaxis(amps.reshape((2,) * n), (qa - 1, qb - 1), (-2, -1))
-    shape = t.shape
-    t = (t.reshape(-1, 4) @ u.T).reshape(shape)
-    return np.moveaxis(t, (-2, -1), (qa - 1, qb - 1)).reshape(-1)
+    t[...] = np.matmul(t.reshape(-1, 4), u.T, out=scratch.reshape(-1, 4)).reshape(t.shape)
 
 
 def _coefficients(
@@ -180,32 +182,36 @@ def _coefficients(
     return coupling[sites - 1], spacer_rate
 
 
-def _phases(pair: np.ndarray, spacer_rate: np.ndarray, n: int) -> np.ndarray:
-    """Phase of the ``_coefficients`` pair for every basis index of the n tracked contents.
+def _phasor(pair: np.ndarray, spacer_rate: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """exp(-i phi) of the ``_coefficients`` pair for every basis index of the n tracked contents.
 
-    The phase is the quadratic form sum_k a_k x_k + sum_{k<l} b_kl x_k x_l
-    with b_kl = -2 J_kl and a_k = sum_l J_kl + r_k.  It is summed as
-    sum_{k<l} J_kl [x_k != x_l], filled in by doubling in O(2^n), and then
-    r_k x_k for k = 1..n in turn: pairs first, spacer rates last.  The
-    order matters because near Q = 1 the dispersion sqrt(-ln Q) turns the
-    last bits of Q into printed digits.
+    phi is the quadratic form sum_k a_k x_k + sum_{k<l} b_kl x_k x_l with
+    a_k = sum_l J_kl + r_k and b_kl = -2 J_kl, so its exponential factorises.
+    The table is filled by doubling from the least significant axis up: the
+    x_k = 1 half is the x_k = 0 half times exp(-i a_k) exp(2i J_kl) for every
+    placed axis l with x_l = 1, and that factor is itself doubled in place
+    in the upper half.  That is O(n^2) scalar exps and about 2 * 2^n complex
+    multiplies, with no transcendental per amplitude.  ``out`` (2^n complex)
+    is filled and returned.
     """
-    phi = np.zeros(1 << n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = pair.sum(axis=1) + spacer_rate
+        twice = 2.0 * pair
+    if not (np.isfinite(a).all() and np.isfinite(twice).all()):
+        raise ValueError("the accumulated error phase overflowed a float (delta or the step count is too large)")
+    first, pairwise = np.exp(-1j * a), np.exp(1j * twice)
+    out[0] = 1.0
     size = 1
     for k in range(n - 1, -1, -1):  # axis k + 1, from the least significant bit up
-        differ0 = np.zeros(size)  # sum of J_kl over the placed axes l with x_l = 1
+        factor = out[size : 2 * size]
+        factor[0] = first[k]
         width = 1
         for l in range(n - 1, k, -1):
-            np.add(differ0[:width], pair[k, l], out=differ0[width : 2 * width])
+            np.multiply(factor[:width], pairwise[k, l], out=factor[width : 2 * width])
             width *= 2
-        # with x_k = 1 the differing axes are the complement, i.e. the reversed index
-        np.add(phi[:size], differ0[::-1], out=phi[size : 2 * size])
-        phi[:size] += differ0
+        factor *= out[:size]
         size *= 2
-    for k in range(n):
-        if spacer_rate[k] != 0.0:
-            phi.reshape(1 << k, 2, -1)[:, 1, :] += spacer_rate[k]
-    return phi
+    return out
 
 
 def _evolve(
@@ -220,30 +226,37 @@ def _evolve(
 
     A swap only exchanges two entries of ``contents``.  Every gate, and every
     step of a wait, is followed by one error step.  Error steps are diagonal,
-    so they are summed as coefficients and applied together just before the
-    next one- or two-qubit gate and at the end.  After each gate ``on_gate``
-    sees the amplitudes and the gate's step count; pending phases do not
-    change any probability.
+    so they are summed as coefficients and applied together, as one
+    ``_phasor`` multiplied into the state, just before the next one- or
+    two-qubit gate and at the end.  The run owns ``amps`` (the caller's own
+    copy) and one scratch buffer of the same size: the phasor and the pair
+    kernel work in the scratch, and a one-qubit gate writes its result
+    there and swaps the two.  A pending sum that is no longer finite raises
+    ``ValueError`` at that flush.  After each gate ``on_gate`` sees the
+    amplitudes and the gate's step count; pending phases do not change any
+    probability.
     """
     law, spacing = model.law, model.layout.spacing
     by_distance = np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, len(contents) - 1)])
     coef_key, coef = None, None  # (layout, excluded pair) of the last step, and its coefficients
     pending = None  # (pair, spacer_rate) summed over the error steps not yet applied
+    scratch = np.empty_like(amps)  # the flush's phasor and the kernels' work space, for the whole run
     for gate in circuit.gates:
         pair, steps = None, 1
         if isinstance(gate, (Gate1Q, Gate2Q)) and pending is not None:
-            amps, pending = amps * np.exp(-1j * _phases(*pending, n)), None
+            amps *= _phasor(*pending, n, scratch)
+            pending = None
         if isinstance(gate, Gate1Q):
             k = contents[gate.qubit]
             if not k:
                 raise UnsupportedGateError(f"one-qubit gate on site {gate.qubit} addresses a spacer")
-            amps = _apply_1q(amps, n, k, gate.matrix)
+            amps, scratch = _apply_1q(amps, n, k, gate.matrix, scratch), amps
         elif isinstance(gate, Gate2Q):
             pair = (gate.qubit, gate.qubit + 1)
             ka, kb = contents[gate.qubit], contents[gate.qubit + 1]
             if not (ka and kb):
                 raise UnsupportedGateError(f"two-qubit gate on sites {pair} addresses a spacer")
-            amps = _apply_pair(amps, n, ka, kb, gate.matrix)
+            _apply_pair(amps, n, ka, kb, gate.matrix, scratch)
         elif isinstance(gate, SwapGate):
             s = gate.site
             pair = (s, s + 1)
@@ -254,14 +267,15 @@ def _evolve(
             raise UnsupportedGateError(f"cannot run {gate!r}")
         if steps:
             key = (tuple(contents), pair if model.compensate_active_pair else None)
-            if key != coef_key:
-                coef_key, coef = key, _coefficients(by_distance, contents, n, key[1])
-            step = coef if steps == 1 else (steps * coef[0], steps * coef[1])
-            pending = step if pending is None else (pending[0] + step[0], pending[1] + step[1])
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the flush's check
+                if key != coef_key:
+                    coef_key, coef = key, _coefficients(by_distance, contents, n, key[1])
+                step = coef if steps == 1 else (steps * coef[0], steps * coef[1])
+                pending = step if pending is None else (pending[0] + step[0], pending[1] + step[1])
         if on_gate is not None:
             on_gate(amps, steps)
     if pending is not None:
-        amps = amps * np.exp(-1j * _phases(*pending, n))
+        amps *= _phasor(*pending, n, scratch)
     return amps
 
 
@@ -277,11 +291,14 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if isinstance(gate, Gate1Q):
         if gate.qubit > n:
             raise ValueError(f"site {gate.qubit} out of range for {n} qubits")
-        return StateVector(n, _apply_1q(state.amplitudes, n, gate.qubit, gate.matrix))
+        amps = state.amplitudes
+        return StateVector(n, _apply_1q(amps, n, gate.qubit, gate.matrix, np.empty_like(amps)))
     if isinstance(gate, Gate2Q):
         if gate.qubit + 1 > n:
             raise ValueError(f"pair ({gate.qubit}, {gate.qubit + 1}) out of range for {n} qubits")
-        return StateVector(n, _apply_pair(state.amplitudes, n, gate.qubit, gate.qubit + 1, gate.matrix))
+        amps = state.amplitudes.copy()
+        _apply_pair(amps, n, gate.qubit, gate.qubit + 1, gate.matrix, np.empty_like(amps))
+        return StateVector(n, amps)
     if isinstance(gate, SwapGate):
         if gate.site + 1 > n:
             raise ValueError(f"swap at {gate.site} out of range for {n} qubits")

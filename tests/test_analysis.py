@@ -75,6 +75,7 @@ def test_critical_register_size_formula():
     assert critical_register_size(0.1) == pytest.approx(100.0, rel=1e-12)
     assert critical_register_size(0.01) == 1.0 / (0.01 * 0.01)
     assert critical_register_size(0.01) == pytest.approx(1e4, rel=1e-12)
+    assert critical_register_size(1e-200) == math.inf  # delta^2 underflows to 0; no ZeroDivisionError
     with pytest.raises(ValueError):
         critical_register_size(0.0)
 

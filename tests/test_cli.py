@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -179,6 +180,40 @@ def test_estimate_rejects_non_finite_input_with_exit_1(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: L, P and delta must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--L", "10", "--P", "10", "--delta", "1e-200"], "critical_l overflows a float for these inputs"),
+        (["--L", "10", "--P", "10", "--delta", "1e-154", "--m", "4"], "critical_l_prime overflows a float for these inputs"),
+        (["--L", "1e308", "--P", "10", "--delta", "0.01", "--m", "4"], "l_prime overflows a float for these inputs"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_estimate_refuses_finite_input_whose_output_overflows(argv, message, fmt, capsys):
+    assert main(["estimate", *argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_estimate_keeps_the_infinite_critical_size_of_zero_delta(capsys):
+    assert main(["estimate", "--L", "10", "--P", "10", "--delta", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["critical_l"] == doc["critical_l_prime"] == math.inf
+    assert doc["sigma"] == 0.0
+
+
+@pytest.mark.parametrize("engine", ["compressed", "full"])
+def test_an_overflowed_error_phase_fails_at_its_source(engine, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sweep", "--m", "1:2", "--L", "2", "--P", "10", "--delta", "1e308", "--engine", engine])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the accumulated error phase overflowed a float (delta or the step count is too large)\n"
 
 
 def test_benchmark_requires_l_and_p(capsys):
