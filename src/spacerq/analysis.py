@@ -3,10 +3,10 @@
 The workhorse benchmark is an idle "sandwich": prepare all data qubits in
 |+> (ideally), let the encoded register wait T basic steps under the
 crosstalk model, undo the known single-qubit phases that data qubits pick
-up from their |0> spacers, apply an ideal Hadamard on every data qubit
-and read off the population left on the all-zeros string.  Any loss is
-pure data-data dephasing, which is exactly what the spacer encoding is
-supposed to dilute.
+up from their |0> spacers (the engine's own rates, ``spacer_phase_rates``),
+apply an ideal Hadamard on every data qubit and read off the population
+left on the all-zeros string.  Any loss is pure data-data dephasing,
+which is exactly what the spacer encoding is supposed to dilute.
 
 Wait pacing: a logical step is the duration of one encoded two-qubit
 gate, so holding the logical step count P fixed across m means the
@@ -26,17 +26,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuits import GATES_1Q, Gate1Q, LogicalCircuit, WaitGate
-from .encoder import EncodingParams, compile_circuit, data_position, spacer_sites
-from .interactions import CouplingLaw, RegisterLayout, coulomb_nonadditive, coupling_strength
+from .circuits import LogicalCircuit, WaitGate
+from .encoder import EncodingParams, compile_circuit
+from .interactions import CouplingLaw, RegisterLayout, coulomb_nonadditive
 from .simulator import (
     ErrorModel,
     StateVector,
-    apply_gate,
     encode_logical_state,
     extract_logical_state,
     run,
     run_compressed,
+    spacer_phase_rates,
 )
 
 
@@ -54,12 +54,6 @@ def sigma_from_quality(q: float) -> float:
 def sigma_estimate(q: float) -> float:
     """The ``sigma_est`` a benchmark reports for quality ``q``: 0 within 1e-12 of Q = 1, else sqrt(-ln Q)."""
     return 0.0 if q >= 1.0 - 1e-12 else sigma_from_quality(q)
-
-
-def quality_from_sigma(sigma: float) -> float:
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    return math.exp(-(sigma**2))
 
 
 def critical_register_size(delta: float) -> float:
@@ -131,12 +125,6 @@ def resource_table(n_logical: float, steps: float, delta: float, m: int = 1) -> 
 # --- idle benchmark ---------------------------------------------------------
 
 
-def spacer_phase_rate(k: int, n_logical: int, m: int, law: CouplingLaw, spacing: float = 1.0) -> float:
-    """Per-step phase a |1> on data qubit k picks up from the |0> spacers (home layout)."""
-    home = data_position(k, m, n_logical)
-    return sum(coupling_strength(law, abs(home - s) * spacing) for s in spacer_sites(n_logical * m, m))
-
-
 def idle_wait_steps(steps_logical: int, m: int, pace: str = "gate") -> int:
     """Basic wait steps for P logical steps: one logical step lasts one encoded gate."""
     if pace == "gate":
@@ -158,30 +146,26 @@ def sandwich_quality(
 ) -> float:
     """Idle benchmark quality: all-|+> data, wait, undo local phases, Hadamard back.
 
-    Returns the population on the all-zeros logical string.  At m = 1 and
-    n_logical = 2 this is exactly cos(T * delta / 2) ** 2.
+    Returns the population on the all-zeros logical string, which after the
+    Hadamard layer is |sum of the amplitudes|^2 / 2^L, so no gate is applied.
+    At m = 1 and n_logical = 2 this is exactly cos(T * delta / 2) ** 2.
     """
-    circuit, _ = compile_circuit(
-        LogicalCircuit(n_logical, (WaitGate(wait_steps),)), EncodingParams(m)
-    )
+    encoding = EncodingParams(m)
+    circuit, _ = compile_circuit(LogicalCircuit(n_logical, (WaitGate(wait_steps),)), encoding)
     model = ErrorModel(law, RegisterLayout(circuit.n_sites, spacing))
     logical0 = StateVector.uniform(n_logical)
     if engine == "compressed":
-        final = run_compressed(circuit, model, EncodingParams(m), logical0)
+        amps = run_compressed(circuit, model, encoding, logical0).amplitudes
     elif engine == "full":
-        result = run(circuit, model, encode_logical_state(logical0, m), EncodingParams(m))
-        final = extract_logical_state(result.final, m)
+        result = run(circuit, model, encode_logical_state(logical0, m), encoding)
+        amps = extract_logical_state(result.final, m).amplitudes
     else:
         raise ValueError(f"unknown engine {engine!r} (expected 'compressed' or 'full')")
     if compensate_local_phases:
-        for k in range(1, n_logical + 1):
-            rate = spacer_phase_rate(k, n_logical, m, law, spacing)
-            if rate != 0.0:
-                undo = np.diag([1.0, np.exp(1j * rate * wait_steps)]).astype(complex)
-                final = apply_gate(final, Gate1Q(k, undo))
-    for k in range(1, n_logical + 1):
-        final = apply_gate(final, Gate1Q(k, GATES_1Q["h"], "h"))
-    q = abs(final.amplitudes[0]) ** 2
+        amps = amps.copy()
+        for k, rate in enumerate(spacer_phase_rates(model, encoding), 1):
+            amps.reshape(1 << (k - 1), 2, -1)[:, 1] *= np.exp(1j * rate * wait_steps)
+    q = abs(amps.sum()) ** 2 / 2**n_logical
     return min(max(q, 0.0), 1.0)
 
 

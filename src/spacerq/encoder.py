@@ -15,7 +15,6 @@ chain does not undo the cyclic shift and would strand the data qubit.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .circuits import Gate, Gate1Q, Gate2Q, LogicalCircuit, PhysicalCircuit, SwapGate, WaitGate, _index
@@ -60,15 +59,6 @@ def data_position(k: int, m: int, n_logical: int | None = None) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     return (k - 1) * m + 1
-
-
-def encode_basis(bits: str, m: int) -> str:
-    """Insert m - 1 '0' spacers after each data bit."""
-    if any(c not in "01" for c in bits):
-        raise ValueError("bits must contain only '0' and '1'")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return "".join(c + "0" * (m - 1) for c in bits)
 
 
 def swap_chain(k: int, m: int) -> list[SwapGate]:
@@ -135,10 +125,3 @@ def check_dual_rail(bits: str) -> bool:
     if len(bits) % 2 != 0:
         return False
     return all(bits[i] != bits[i + 1] for i in range(0, len(bits), 2))
-
-
-def spacer_sites(n_sites: int, m: int) -> list[int]:
-    """Home spacer sites of an m-encoded register (1-indexed)."""
-    if m < 1 or n_sites % m != 0:
-        raise ValueError("register size must be a multiple of m")
-    return [s for s in range(1, n_sites + 1) if (s - 1) % m != 0]

@@ -13,7 +13,7 @@ nearest neighbours.
 In a 1D register the pair strength falls off with site distance as a
 power law, ``delta1 / d**p`` (``p = 3`` for dipole-like decay, ``p = 1``
 for bare Coulomb).  A basis state accumulates phase from every site pair
-whose bits differ; that sum is ``error_phase``.
+whose bits differ; the simulator applies that sum as one diagonal step.
 
 ``coulomb_nonadditive`` gives the closed-form nonadditive strength of two
 dual-rail encoded qubits under a bare ``g / distance`` potential, which
@@ -60,12 +60,6 @@ class RegisterLayout:
         if not math.isfinite(self.spacing) or self.spacing <= 0:
             raise ValueError("spacing must be positive")
 
-    def distance(self, i: int, j: int) -> float:
-        """Physical distance between sites i and j (1-indexed)."""
-        if not (1 <= i <= self.n_sites and 1 <= j <= self.n_sites):
-            raise ValueError("site index out of range")
-        return abs(i - j) * self.spacing
-
 
 def coupling_strength(law: CouplingLaw, distance: float) -> float:
     """Pair coupling delta1 / distance**p; zero beyond the optional cutoff."""
@@ -74,21 +68,6 @@ def coupling_strength(law: CouplingLaw, distance: float) -> float:
     if law.cutoff is not None and distance > law.cutoff:
         return 0.0
     return law.delta1 / distance**law.exponent
-
-
-def error_phase(bits: str, layout: RegisterLayout, law: CouplingLaw) -> float:
-    """Phase a basis state accrues in one step: sum of couplings over differing pairs."""
-    n = layout.n_sites
-    if len(bits) != n:
-        raise ValueError(f"expected {n} bits, got {len(bits)}")
-    if any(c not in "01" for c in bits):
-        raise ValueError("bits must contain only '0' and '1'")
-    phase = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bits[i] != bits[j]:
-                phase += coupling_strength(law, layout.distance(i + 1, j + 1))
-    return phase
 
 
 def coulomb_nonadditive(separation: float, rail_spacing: float = 1.0, g: float = 1.0) -> float:

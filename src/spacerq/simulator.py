@@ -1,9 +1,10 @@
 """Exact statevector simulation under the diagonal crosstalk model.
 
 Gates follow a serial schedule: one basic gate per step, and after every
-step each basis state picks up phase exp(-i * error_phase) from the
-always-on interaction.  The model is diagonal, so the error step is an
-exact diagonal unitary, not a perturbative approximation.
+step each basis state picks up phase exp(-i phi) from the always-on
+interaction, phi summing the couplings of the site pairs whose bits
+differ.  The model is diagonal, so the error step is an exact diagonal
+unitary, not a perturbative approximation.
 
 One engine covers both entry points.  It evolves the amplitudes of the
 register's tracked contents and follows which site holds each of them,
@@ -236,8 +237,7 @@ def _evolve(
     amplitudes and the gate's step count; pending phases do not change any
     probability.
     """
-    law, spacing = model.law, model.layout.spacing
-    by_distance = np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, len(contents) - 1)])
+    by_distance = _by_distance(model, len(contents) - 1)
     coef_key, coef = None, None  # (layout, excluded pair) of the last step, and its coefficients
     pending = None  # (pair, spacer_rate) summed over the error steps not yet applied
     scratch = np.empty_like(amps)  # the flush's phasor and the kernels' work space, for the whole run
@@ -283,6 +283,20 @@ def _n_logical(n_sites: int, m: int) -> int:
     if n_sites % m != 0:
         raise ValueError(f"register of {n_sites} sites is not a multiple of m={m}")
     return n_sites // m
+
+
+def _by_distance(model: ErrorModel, n_sites: int) -> np.ndarray:
+    """Coupling of two sites d apart for d = 0..n_sites - 1 (entry 0 unused), as ``_coefficients`` reads it."""
+    law, spacing = model.law, model.layout.spacing
+    return np.array([0.0] + [coupling_strength(law, d * spacing) for d in range(1, n_sites)])
+
+
+def _home_contents(n_sites: int, m: int) -> list[int]:
+    """``contents`` of a spacer-encoded register at home: data qubit k on its data site, spacers untracked."""
+    contents = [0] * (n_sites + 1)
+    for k in range(1, _n_logical(n_sites, m) + 1):
+        contents[data_position(k, m)] = k
+    return contents
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -369,10 +383,17 @@ def run_compressed(
     nl = _n_logical(n, encoding.m)
     if logical_initial.n != nl:
         raise ValueError(f"logical state has {logical_initial.n} qubits, expected {nl}")
-    contents = [0] * (n + 1)
-    for k in range(1, nl + 1):
-        contents[data_position(k, encoding.m)] = k
-    return StateVector(nl, _evolve(circuit, model, contents, logical_initial.amplitudes.copy(), nl, None))
+    amps = logical_initial.amplitudes.copy()
+    return StateVector(nl, _evolve(circuit, model, _home_contents(n, encoding.m), amps, nl, None))
+
+
+def spacer_phase_rates(model: ErrorModel, encoding: EncodingParams) -> np.ndarray:
+    """Per-step phase r_k that a |1> on data qubit k picks up from the |0> spacers, at the home layout.
+
+    The ``spacer_rate`` half of one error step's ``_coefficients``, indexed by k - 1.
+    """
+    n = model.layout.n_sites
+    return _coefficients(_by_distance(model, n), _home_contents(n, encoding.m), _n_logical(n, encoding.m), None)[1]
 
 
 # --- state maps and measures ----------------------------------------------

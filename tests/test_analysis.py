@@ -18,21 +18,20 @@ from spacerq.analysis import (
     idle_wait_steps,
     measure_effective_coupling,
     quality_decay_r2,
-    quality_from_sigma,
     resource_table,
     run_sweep,
     sandwich_quality,
     sigma_estimate,
     sigma_from_quality,
-    spacer_phase_rate,
 )
-from spacerq.interactions import CouplingLaw, coupling_strength
+from spacerq.encoder import EncodingParams
+from spacerq.interactions import CouplingLaw, RegisterLayout, coupling_strength
+from spacerq.simulator import ErrorModel, spacer_phase_rates
 
 
 def test_sigma_quality_inversion():
     # Q = exp(-sigma^2): sigma = 0.2 -> Q = exp(-0.04)
     assert sigma_from_quality(math.exp(-0.04)) == pytest.approx(0.2, abs=1e-15)
-    assert quality_from_sigma(0.2) == pytest.approx(math.exp(-0.04), abs=1e-18)
     assert sigma_from_quality(math.exp(-1.0)) == pytest.approx(1.0, abs=1e-12)
     # small-angle benchmark point: cos^2(x) = exp(-x^2) to leading order
     assert sigma_from_quality(math.cos(0.05) ** 2) == pytest.approx(0.05, abs=1e-3)
@@ -43,11 +42,11 @@ def test_sigma_quality_inversion():
         sigma_from_quality(1.1)
     with pytest.raises(ValueError):
         sigma_from_quality(0.0)
-    with pytest.raises(ValueError):
-        quality_from_sigma(-1.0)
     # the reported sigma_est is sqrt(-ln Q) until Q is within 1e-12 of 1, then exactly 0
     assert sigma_estimate(math.exp(-0.04)) == sigma_from_quality(math.exp(-0.04))
     assert sigma_estimate(1.0 - 1e-13) == 0.0
+    # just outside the saturation band the estimate is sqrt(1e-11), not 0
+    assert sigma_estimate(1.0 - 1e-11) == pytest.approx(3.16e-06, rel=1e-3)
 
 
 def test_predicted_sigma_product_form():
@@ -111,12 +110,12 @@ def test_resource_table_dilution_ratios_exact():
 def test_spacer_phase_rate_hand_value():
     # L=2, m=2: sites 1..4, data at 1 and 3, spacers at 2 and 4.
     # qubit 1 at site 1: c(1) + c(3) = delta * (1 + 1/27)
+    # qubit 2 at site 3: spacers at 2 and 4, both at distance 1 -> 2 * delta
     law = CouplingLaw(1.0)
-    assert spacer_phase_rate(1, 2, 2, law) == pytest.approx(1.0 + 1.0 / 27.0, rel=1e-15)
-    # qubit 2 at site 3: c(1) + c(1) wait, spacers sit at 2 and 4 -> both distance 1
-    assert spacer_phase_rate(2, 2, 2, law) == pytest.approx(2.0, rel=1e-15)
+    rates = spacer_phase_rates(ErrorModel(law, RegisterLayout(4)), EncodingParams(2))
+    assert rates == pytest.approx([1.0 + 1.0 / 27.0, 2.0], rel=1e-15)
     # no spacers at m=1
-    assert spacer_phase_rate(1, 3, 1, law) == 0.0
+    assert list(spacer_phase_rates(ErrorModel(law, RegisterLayout(3)), EncodingParams(1))) == [0.0, 0.0, 0.0]
 
 
 def test_idle_wait_steps_pacing():
@@ -155,7 +154,7 @@ def test_sandwich_local_phase_undo_matters_beyond_m1():
 
 
 def test_sandwich_noiseless_quality_is_one():
-    # up to Hadamard-layer rounding, which the saturation threshold absorbs
+    # up to the rounding of the amplitude sum, which the saturation threshold absorbs
     assert sandwich_quality(3, 2, 25, CouplingLaw(0.0)) == pytest.approx(1.0, abs=1e-12)
 
 

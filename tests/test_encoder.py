@@ -12,8 +12,6 @@ from spacerq.encoder import (
     compile_two_qubit,
     data_position,
     dual_rail_encode,
-    encode_basis,
-    spacer_sites,
     swap_chain,
 )
 
@@ -25,12 +23,6 @@ def test_data_positions_are_block_leaders():
         data_position(0, 2)
     with pytest.raises(ValueError):
         data_position(4, 2, n_logical=3)
-
-
-def test_encode_basis_inserts_zero_spacers():
-    assert encode_basis("101", 2) == "100010"
-    assert encode_basis("11", 3) == "100100"
-    assert encode_basis("01", 1) == "01"
 
 
 def test_swap_chain_walks_to_block_edge():
@@ -151,12 +143,6 @@ def test_dual_rail_compile_is_not_offered():
     # dual-rail covers state encoding and idle analysis; the encoder takes no dual-rail option
     with pytest.raises(TypeError):
         EncodingParams(1, dual_rail=True)
-
-
-def test_spacer_site_listing_and_check():
-    assert spacer_sites(6, 2) == [2, 4, 6]
-    assert spacer_sites(6, 3) == [2, 3, 5, 6]
-    assert spacer_sites(3, 1) == []
 
 
 def test_encoding_params_validation():

@@ -1,16 +1,27 @@
 """Coupling-law, error-phase and dual-rail coupling tests.
 
 Oracle values are hand-derived from the closed forms and frozen here;
-the derivations are spelled out next to each constant.
+the derivations are spelled out next to each constant.  The error phase
+of a basis state is read off one error step of the simulator: a single
+``WaitGate(1)`` takes |bits> to exp(-i phi) |bits>.
 """
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spacerq.interactions import CouplingLaw, RegisterLayout, coulomb_nonadditive, coupling_strength, error_phase
+from spacerq.circuits import PhysicalCircuit, WaitGate
+from spacerq.interactions import CouplingLaw, RegisterLayout, coulomb_nonadditive, coupling_strength
+from spacerq.simulator import ErrorModel, StateVector, run
+
+
+def one_step(bits: str, law: CouplingLaw, spacing: float = 1.0) -> complex:
+    """Amplitude of |bits> after one error step started from |bits>."""
+    model = ErrorModel(law, RegisterLayout(len(bits), spacing))
+    return run(PhysicalCircuit(len(bits), (WaitGate(1),)), model, StateVector.from_bits(bits)).final.amplitude(bits)
 
 
 def test_coupling_strength_inverse_cube():
@@ -35,32 +46,30 @@ def test_coupling_strength_rejects_nonpositive_distance():
 
 
 def test_error_phase_counts_differing_pairs():
-    layout = RegisterLayout(3)
     law = CouplingLaw(1.0)
     # "101": pairs (1,2) and (2,3) differ at distance 1; (1,3) agree.
-    assert error_phase("101", layout, law) == pytest.approx(2.0, abs=1e-15)
+    assert abs(one_step("101", law) - cmath.exp(-2.0j)) <= 1e-15
     # "100": (1,2) and (1,3) differ -> 1 + 1/8
-    assert error_phase("100", layout, law) == pytest.approx(1.0 + 1.0 / 8.0, abs=1e-15)
-    assert error_phase("111", layout, law) == 0.0
-    assert error_phase("000", layout, law) == 0.0
+    assert abs(one_step("100", law) - cmath.exp(-1j * (1.0 + 1.0 / 8.0))) <= 1e-15
+    assert abs(one_step("111", law) - 1.0) <= 1e-15
+    assert abs(one_step("000", law) - 1.0) <= 1e-15
 
 
 def test_error_phase_uses_layout_spacing():
-    layout = RegisterLayout(2, spacing=2.0)
-    assert error_phase("10", layout, CouplingLaw(1.0)) == pytest.approx(1.0 / 8.0, abs=1e-15)
+    assert abs(one_step("10", CouplingLaw(1.0), spacing=2.0) - cmath.exp(-1j / 8.0)) <= 1e-15
 
 
 @given(st.text(alphabet="01", min_size=2, max_size=8))
 def test_error_phase_symmetries(bits):
-    layout = RegisterLayout(len(bits))
     law = CouplingLaw(0.37)
-    phi = error_phase(bits, layout, law)
+    amp = one_step(bits, law)
     flipped = "".join("1" if c == "0" else "0" for c in bits)
     # complementing every bit preserves which pairs differ
-    assert math.isclose(phi, error_phase(flipped, layout, law), rel_tol=0, abs_tol=1e-12)
+    assert abs(amp - one_step(flipped, law)) <= 1e-12
     # so does mirroring the register
-    assert math.isclose(phi, error_phase(bits[::-1], layout, law), rel_tol=0, abs_tol=1e-12)
-    assert phi >= 0.0
+    assert abs(amp - one_step(bits[::-1], law)) <= 1e-12
+    # phi is a sum of positive couplings, below pi for eight sites at 0.37; the angle reads back to rounding
+    assert -cmath.phase(amp) >= -1e-15
 
 
 def test_coulomb_nonadditive_frozen_value():
@@ -83,13 +92,3 @@ def test_coulomb_nonadditive_scales_with_g_and_validates():
         coulomb_nonadditive(1.0, 1.0)  # separation must exceed the rail spacing
     with pytest.raises(ValueError):
         coulomb_nonadditive(10.0, 0.0)
-
-
-def test_register_layout_distances():
-    layout = RegisterLayout(5, spacing=1.5)
-    assert layout.distance(1, 4) == pytest.approx(4.5)
-    assert layout.distance(4, 1) == pytest.approx(4.5)
-    with pytest.raises(ValueError):
-        layout.distance(0, 3)
-    with pytest.raises(ValueError):
-        layout.distance(1, 6)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_logical_circuit, random_state, random_unitary
 from spacerq.circuits import GATES_1Q, GATES_2Q, Gate1Q, Gate2Q, PhysicalCircuit, SwapGate, WaitGate, LogicalCircuit
-from spacerq.encoder import EncodingParams, compile_circuit, encode_basis
+from spacerq.encoder import EncodingParams, compile_circuit
 from spacerq.errors import CapacityError, UnsupportedGateError
 from spacerq.interactions import CouplingLaw, RegisterLayout
 from spacerq.simulator import (
@@ -138,6 +138,8 @@ def test_statevector_constructors():
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(2, np.ones(4, dtype=complex))  # norm 2
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([1.0 + 1e-8, 0.0]))  # off by more than the 1e-9 norm tolerance
     with pytest.raises(ValueError):
         StateVector(2, np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
@@ -438,6 +440,15 @@ def test_spacer_verdict_fails_when_a_spacer_is_excited():
     assert not all(result.spacer_check)
 
 
+def test_spacer_verdict_tolerance_is_tight():
+    # a spacer leak of 1e-10 is far above SPACER_TOL = 1e-12; one of 1e-14 is below it
+    model = ErrorModel(CouplingLaw(0.1), RegisterLayout(2))
+    for leak, verdict in ((1e-10, (False,)), (1e-14, (True,))):
+        initial = StateVector(2, np.array([math.sqrt(1.0 - leak), math.sqrt(leak), 0.0, 0.0]))
+        result = run(PhysicalCircuit(2, (WaitGate(1),)), model, initial, EncodingParams(2))
+        assert result.spacer_check == verdict
+
+
 def test_compressed_rejects_gates_addressing_spacers():
     model = ErrorModel(CouplingLaw(0.1), RegisterLayout(4))
     bad_1q = PhysicalCircuit(4, (Gate1Q(2, GATES_1Q["h"], "h"),))
@@ -479,7 +490,7 @@ def test_compensation_makes_a_lone_pair_gate_ideal():
 
 def test_encode_places_data_on_home_sites():
     encoded = encode_logical_state(StateVector.from_bits("10"), 2)
-    assert encoded.amplitude(encode_basis("10", 2)) == 1.0
+    assert encoded.amplitude("1000") == 1.0
 
 
 def test_encode_extract_round_trip():
